@@ -2269,19 +2269,18 @@ pub fn opt() -> FigureData {
 }
 
 /// The SMP guard-path figure (`reproduce smp`): guarded check rate and
-/// multi-queue TX throughput vs thread count, for the mutex-store
-/// baseline, the lock-free snapshot path, and snapshot + per-thread
-/// guard TLB — plus a writer-churn phase proving revoked grants are
-/// never admitted (DESIGN §3.13).
+/// multi-queue TX throughput vs thread count, for the pinned-snapshot
+/// check path alone and fronted by the per-thread guard TLB — plus a
+/// writer-churn phase proving revoked grants are never admitted (DESIGN
+/// §3.13).
 ///
-/// Three claims, asserted in CI quick mode on a multi-core runner:
-/// (a) snapshot+TLB check throughput scales ≥3x from 1 to 4 threads
-/// while the mutex path stays ≤1.5x; (b) single-thread ns/check for
-/// snapshot+TLB is no worse than the mutex path; (c) a revoke/grant
-/// storm never admits a stale access (asserted at every scale, every
-/// run). Guard-TLB hits + misses reconcile exactly with guard calls.
+/// Two claims: (a) snapshot+TLB check throughput scales ≥3x from 1 to 4
+/// threads (asserted in CI quick mode on a multi-core runner); (b) a
+/// revoke/grant storm never admits a stale access (asserted at every
+/// scale, every run). Guard-TLB hits + misses reconcile exactly with
+/// guard calls.
 pub fn smp() -> FigureData {
-    use kop_policy::{CheckPath, GuardTlb};
+    use kop_policy::GuardTlb;
     use kop_trace::CounterRegistry;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AO};
     use std::sync::Barrier;
@@ -2302,7 +2301,6 @@ pub fn smp() -> FigureData {
 
     #[derive(Clone, Copy, PartialEq)]
     enum Path {
-        MutexStore,
         Snapshot,
         SnapshotTlb,
     }
@@ -2314,10 +2312,6 @@ pub fn smp() -> FigureData {
         let mut best = 0.0f64;
         for _ in 0..repeats {
             let pm = setup::two_region_policy();
-            pm.set_check_path(match path {
-                Path::MutexStore => CheckPath::MutexStore,
-                _ => CheckPath::Snapshot,
-            });
             let barrier = Barrier::new(n);
             let base = kop_core::layout::DIRECT_MAP_BASE;
             let worst_ns = std::thread::scope(|s| {
@@ -2339,7 +2333,7 @@ pub fn smp() -> FigureData {
                                         Size(8),
                                         AccessFlags::RW,
                                     ),
-                                    _ => pm.check(addr, Size(8), AccessFlags::RW),
+                                    Path::Snapshot => pm.check(addr, Size(8), AccessFlags::RW),
                                 };
                                 debug_assert!(r.is_ok());
                                 std::hint::black_box(&r);
@@ -2364,7 +2358,6 @@ pub fn smp() -> FigureData {
     let mut rate_1t = std::collections::HashMap::new();
     let mut rate_4t = std::collections::HashMap::new();
     for (label, path) in [
-        ("checkrate_mutex", Path::MutexStore),
         ("checkrate_snapshot", Path::Snapshot),
         ("checkrate_snapshot_tlb", Path::SnapshotTlb),
     ] {
@@ -2389,7 +2382,6 @@ pub fn smp() -> FigureData {
 
     // Single-thread ns/check from the measured rates.
     let ns_per_check = |label: &str| 1e9 / rate_1t.get(label).copied().unwrap_or(1.0);
-    let mutex_ns = ns_per_check("checkrate_mutex");
     let snapshot_ns = ns_per_check("checkrate_snapshot");
     let tlb_ns = ns_per_check("checkrate_snapshot_tlb");
 
@@ -2399,17 +2391,12 @@ pub fn smp() -> FigureData {
     let mut mq_guard_calls = 0u64;
     let mut tlb_hits = 0u64;
     let mut tlb_misses = 0u64;
-    for (label, use_tlb) in [("mq_tx_mutex", false), ("mq_tx_snapshot_tlb", true)] {
+    for (label, use_tlb) in [("mq_tx_snapshot", false), ("mq_tx_snapshot_tlb", true)] {
         let mut points = Vec::new();
         for &n in threads {
             let mut best = 0.0f64;
             for _ in 0..repeats.min(3) {
                 let pm = setup::two_region_policy();
-                pm.set_check_path(if use_tlb {
-                    CheckPath::Snapshot
-                } else {
-                    CheckPath::MutexStore
-                });
                 let registry = CounterRegistry::new();
                 let report =
                     if use_tlb {
@@ -2526,25 +2513,16 @@ pub fn smp() -> FigureData {
         }
     };
     let tlb_scaling = scaling("checkrate_snapshot_tlb");
-    let mutex_scaling = scaling("checkrate_mutex");
     if assert_timing {
         assert!(
             tlb_scaling >= 3.0,
             "snapshot+TLB must scale >=3x from 1 to 4 threads (got {tlb_scaling:.2}x)"
         );
-        assert!(
-            mutex_scaling <= 1.5,
-            "mutex store must not scale past 1.5x (got {mutex_scaling:.2}x)"
-        );
-        assert!(
-            tlb_ns <= mutex_ns * 1.10,
-            "single-thread snapshot+TLB ns/check ({tlb_ns:.1}) must be no worse than mutex ({mutex_ns:.1})"
-        );
     }
 
     let notes = vec![
         "checkrate_*: N threads hammer one shared PolicyModule with permitted accesses (Mchecks/s, best of repeats)".into(),
-        "mutex path serializes every guard on the store lock; snapshot path is lock-free RCU-style; +TLB adds a per-thread per-site grant cache".into(),
+        "snapshot path reads a per-thread pinned snapshot revalidated by the store generation; +TLB adds a per-thread per-site grant cache".into(),
         "mq_tx_*: N TX queues, each a full driver over its own ring, sharing only the policy (frames/s)".into(),
         format!(
             "writer churn: {churns} grant/revoke pairs against {} concurrent TLB readers -> 0 stale admits (asserted)",
@@ -2554,7 +2532,7 @@ pub fn smp() -> FigureData {
             "TLB reconciliation: {tlb_hits} hits + {tlb_misses} misses == {mq_guard_calls} guard calls (asserted exact)"
         ),
         if assert_timing {
-            format!("scaling asserted on this host ({cores} cores): snapshot+TLB >=3x @4t, mutex <=1.5x @4t, 1t parity")
+            format!("scaling asserted on this host ({cores} cores): snapshot+TLB >=3x @4t")
         } else {
             format!("timing asserts skipped (quick={}, cores={cores}): shapes reported, correctness still asserted", quick())
         },
@@ -2562,16 +2540,14 @@ pub fn smp() -> FigureData {
 
     FigureData {
         id: "smp",
-        title: "SMP guard path: check rate & multi-queue TX vs threads (mutex vs snapshot vs snapshot+TLB)"
+        title: "SMP guard path: check rate & multi-queue TX vs threads (snapshot vs snapshot+TLB)"
             .into(),
         axes: ("threads", "Mchecks/s | frames/s"),
         series,
         headlines: vec![
-            ("mutex_ns_check_1t".into(), mutex_ns),
             ("snapshot_ns_check_1t".into(), snapshot_ns),
             ("snapshot_tlb_ns_check_1t".into(), tlb_ns),
             ("snapshot_tlb_scaling_1_to_4".into(), tlb_scaling),
-            ("mutex_scaling_1_to_4".into(), mutex_scaling),
             ("stale_admits".into(), stale_admits as f64),
             ("churn_publishes".into(), churn_publishes as f64),
             ("tlb_hits".into(), tlb_hits as f64),

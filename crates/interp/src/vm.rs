@@ -13,7 +13,7 @@
 
 use kop_core::{AccessFlags, KernelError, KernelResult, Size, VAddr};
 use kop_ir::{BinOp, CastOp, IcmpPred};
-use kop_vm::{CompiledFunc, CompiledModule, Op, Src};
+use kop_vm::{CompiledFunc, CompiledModule, Op, PromotedTier, Src};
 
 use crate::{sign_extend, Interp, ModuleCtx, MAX_CALL_DEPTH};
 
@@ -38,7 +38,12 @@ impl<'k> Interp<'k> {
         let mut argv = self.vm_args_pool.pop().unwrap_or_default();
         argv.clear();
         argv.extend_from_slice(args);
-        self.vm_call_idx(ctx, compiled, idx, argv)
+        // On the promoted engine the tier is loaded once per module call
+        // and every frame of the call dispatches through it. A tier
+        // swapped mid-call leaves the remaining frames on the old one,
+        // whose inline ops deopt per op on the stale generation/epoch.
+        let tier = (self.engine() == crate::Engine::Promoted).then(|| compiled.promoted_tier());
+        self.vm_call_idx(ctx, compiled, tier.as_deref(), idx, argv)
     }
 
     /// One function frame by prebuilt index (recursion happens through
@@ -49,6 +54,7 @@ impl<'k> Interp<'k> {
         &mut self,
         ctx: &ModuleCtx,
         compiled: &CompiledModule,
+        tier: Option<&PromotedTier>,
         idx: u32,
         args: Vec<u64>,
     ) -> KernelResult<Option<u64>> {
@@ -57,17 +63,11 @@ impl<'k> Interp<'k> {
         // Tracing runs always take the general tier — the fast admit
         // emits no per-check events, and reconciliation (trace hits ==
         // policy checks, exact per-site) must hold to the guard.
-        let promoted =
-            if self.engine() == crate::Engine::Promoted && !self.kernel.tracer().enabled() {
-                // One tier load yields function + bake epoch together, so
-                // the frame can't pair one tier's code with another's
-                // epoch.
-                compiled.promoted_entry(idx)
-            } else {
-                None
-            };
-        let cf = match &promoted {
-            Some((p, _)) => p.as_ref(),
+        let promoted = tier
+            .filter(|_| !self.kernel.tracer().enabled())
+            .and_then(|t| Some((t.func(idx)?, t.epoch)));
+        let cf = match promoted {
+            Some((p, _)) => p,
             None => compiled.func(idx),
         };
         if cf.n_params != args.len() {
@@ -98,8 +98,8 @@ impl<'k> Interp<'k> {
         // this is sound for the frame's duration).
         self.vm_flush_fast_permits();
         let saved_epoch = self.vm_promoted_epoch;
-        let saved_policy = if let Some((_, epoch)) = &promoted {
-            self.vm_promoted_epoch = *epoch;
+        let saved_policy = if let Some((_, epoch)) = promoted {
+            self.vm_promoted_epoch = epoch;
             let p = self.kernel.policy_for(&ctx.ir.name);
             self.vm_policy.replace(p)
         } else {
@@ -109,7 +109,7 @@ impl<'k> Interp<'k> {
         let mut regs = self.vm_frames.pop().unwrap_or_default();
         regs.clear();
         regs.resize(cf.n_regs, 0);
-        let result = self.vm_run(ctx, compiled, cf, &mut regs);
+        let result = self.vm_run(ctx, compiled, tier, cf, &mut regs);
         self.vm_frames.push(regs);
         self.vm_flush_fast_permits();
         self.vm_policy = saved_policy;
@@ -235,6 +235,7 @@ impl<'k> Interp<'k> {
         &mut self,
         ctx: &ModuleCtx,
         compiled: &CompiledModule,
+        tier: Option<&PromotedTier>,
         cf: &CompiledFunc,
         regs: &mut [u64],
     ) -> KernelResult<Option<u64>> {
@@ -444,7 +445,7 @@ impl<'k> Interp<'k> {
                     let mut argv = self.vm_args_pool.pop().unwrap_or_default();
                     argv.clear();
                     argv.extend(args.iter().map(|a| self.vm_src(regs, *a)));
-                    if let Some(v) = self.vm_call_idx(ctx, compiled, *func, argv)? {
+                    if let Some(v) = self.vm_call_idx(ctx, compiled, tier, *func, argv)? {
                         regs[*dst as usize] = v;
                     }
                 }

@@ -24,7 +24,8 @@
 //! * [`manager::PolicyCmd`] — the binary ioctl protocol spoken by the
 //!   `policy-manager` user-space tool,
 //! * the SMP guard path (DESIGN §3.13): [`snapshot::SnapshotStore`]
-//!   (RCU-style published tables — the lock-free check path),
+//!   (RCU-style published tables, read through a per-thread pin
+//!   revalidated by the store generation — the one check path),
 //!   [`tlb::GuardTlb`] (a per-thread, per-site grant cache invalidated by
 //!   generation bump), and [`vlog::ViolationLog`] (bounded violation ring
 //!   with a dropped counter, formatting deferred to read time).
@@ -55,8 +56,7 @@ pub use hot::{HotPolicy, HotSite};
 pub use intrinsics::IntrinsicPolicy;
 pub use manager::{PolicyCmd, PolicyCmdError, PolicyResponse};
 pub use module::{
-    CheckPath, ClassifiedCheck, DatapathGeometry, DefaultAction, GuardOutcome, PolicyModule,
-    ViolationAction,
+    ClassifiedCheck, DatapathGeometry, DefaultAction, GuardOutcome, PolicyModule, ViolationAction,
 };
 pub use namespace::{NamespaceStore, GLOBAL_NAMESPACE, NAMESPACE_SHARDS};
 pub use snapshot::{GenerationSubscriber, PolicySnapshot, SnapshotStore, SNAPSHOT_HISTORY_CAP};

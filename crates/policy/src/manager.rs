@@ -88,15 +88,47 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 fn get_u64(data: &[u8], off: &mut usize) -> Result<u64, PolicyCmdError> {
-    let end = *off + 8;
-    if end > data.len() {
-        return Err(PolicyCmdError("truncated u64".into()));
-    }
-    let mut bytes = [0u8; 8];
-    bytes.copy_from_slice(&data[*off..end]);
-    *off = end;
-    Ok(u64::from_le_bytes(bytes))
+    let bytes = get_bytes(data, off, 8)?;
+    Ok(u64::from_le_bytes(
+        bytes.try_into().expect("get_bytes returns exactly 8 bytes"),
+    ))
 }
+
+/// Take the next `len` bytes, or fail without panicking on a hostile
+/// `len` (overflowing or past the end).
+fn get_bytes<'a>(data: &'a [u8], off: &mut usize, len: usize) -> Result<&'a [u8], PolicyCmdError> {
+    let bytes = off
+        .checked_add(len)
+        .and_then(|end| data.get(*off..end))
+        .ok_or_else(|| PolicyCmdError("truncated payload".into()))?;
+    *off += len;
+    Ok(bytes)
+}
+
+/// Read an element count and bound it by the bytes left: each element
+/// takes at least `elem_size` bytes, so a larger count is a lie.
+fn get_count(data: &[u8], off: &mut usize, elem_size: usize) -> Result<usize, PolicyCmdError> {
+    let n = get_u64(data, off)?;
+    let remaining = (data.len() - *off) / elem_size;
+    usize::try_from(n)
+        .ok()
+        .filter(|&n| n <= remaining)
+        .ok_or_else(|| PolicyCmdError(format!("count {n} exceeds payload")))
+}
+
+/// Reject bytes past the decoded message.
+fn expect_end(data: &[u8], off: usize) -> Result<(), PolicyCmdError> {
+    if off != data.len() {
+        return Err(PolicyCmdError(format!(
+            "trailing garbage: {} bytes",
+            data.len() - off
+        )));
+    }
+    Ok(())
+}
+
+/// Encoded size of one region: base, length, protection bits.
+const REGION_BYTES: usize = 24;
 
 fn put_region(out: &mut Vec<u8>, r: &Region) {
     put_u64(out, r.base.raw());
@@ -209,12 +241,7 @@ impl PolicyCmd {
             OP_LIST_INTRINSICS => PolicyCmd::ListIntrinsics,
             other => return Err(PolicyCmdError(format!("unknown opcode {other:#x}"))),
         };
-        if off != data.len() {
-            return Err(PolicyCmdError(format!(
-                "trailing garbage: {} bytes",
-                data.len() - off
-            )));
-        }
+        expect_end(data, off)?;
         Ok(cmd)
     }
 
@@ -304,15 +331,15 @@ impl PolicyResponse {
             .first()
             .ok_or(PolicyCmdError("empty response".into()))?;
         let mut off = 1usize;
-        match op {
-            RESP_OK => Ok(PolicyResponse::Ok),
+        let resp = match op {
+            RESP_OK => PolicyResponse::Ok,
             RESP_REGIONS => {
-                let n = get_u64(data, &mut off)?;
-                let mut regions = Vec::with_capacity(n as usize);
+                let n = get_count(data, &mut off, REGION_BYTES)?;
+                let mut regions = Vec::with_capacity(n);
                 for _ in 0..n {
                     regions.push(get_region(data, &mut off)?);
                 }
-                Ok(PolicyResponse::Regions(regions))
+                PolicyResponse::Regions(regions)
             }
             RESP_STATS => {
                 let checks = get_u64(data, &mut off)?;
@@ -320,17 +347,17 @@ impl PolicyResponse {
                 let denied_no_match = get_u64(data, &mut off)?;
                 let denied_insufficient = get_u64(data, &mut off)?;
                 let denied_malformed = get_u64(data, &mut off)?;
-                Ok(PolicyResponse::Stats(GuardStatsSnapshot {
+                PolicyResponse::Stats(GuardStatsSnapshot {
                     checks,
                     permitted,
                     denied_no_match,
                     denied_insufficient,
                     denied_malformed,
-                }))
+                })
             }
             RESP_INTRINSICS => {
-                let n = get_u64(data, &mut off)?;
-                let mut ids = Vec::with_capacity(n as usize);
+                let n = get_count(data, &mut off, 8)?;
+                let mut ids = Vec::with_capacity(n);
                 for _ in 0..n {
                     let id = get_u64(data, &mut off)?;
                     ids.push(
@@ -338,19 +365,17 @@ impl PolicyResponse {
                             .map_err(|_| PolicyCmdError("intrinsic id too large".into()))?,
                     );
                 }
-                Ok(PolicyResponse::Intrinsics(ids))
+                PolicyResponse::Intrinsics(ids)
             }
             RESP_ERR => {
-                let len = get_u64(data, &mut off)? as usize;
-                let end = off + len;
-                if end > data.len() {
-                    return Err(PolicyCmdError("truncated error string".into()));
-                }
-                let msg = String::from_utf8_lossy(&data[off..end]).into_owned();
-                Ok(PolicyResponse::Err(msg))
+                let len = get_count(data, &mut off, 1)?;
+                let msg = get_bytes(data, &mut off, len)?;
+                PolicyResponse::Err(String::from_utf8_lossy(msg).into_owned())
             }
-            other => Err(PolicyCmdError(format!("unknown response {other:#x}"))),
-        }
+            other => return Err(PolicyCmdError(format!("unknown response {other:#x}"))),
+        };
+        expect_end(data, off)?;
+        Ok(resp)
     }
 }
 

@@ -11,19 +11,16 @@
 //!
 //! The check path is read-mostly, so it is split RCU-style (DESIGN
 //! §3.13): mutations go through a mutex-protected authoritative
-//! [`RegionStore`] and republish an immutable [`PolicySnapshot`]; checks
-//! default to the lock-free snapshot path ([`CheckPath::Snapshot`]) and
-//! touch no lock at all. Default/violation actions and the intrinsic
-//! table are atomics/published snapshots for the same reason. The
-//! pre-SMP behaviour is still available as [`CheckPath::MutexStore`]
-//! (it is the baseline the `reproduce smp` figure measures against, and
-//! the only path that exercises self-adjusting stores' read-side
-//! reorganization).
+//! [`RegionStore`] and republish an immutable [`PolicySnapshot`]; every
+//! check reads that snapshot through the calling thread's pin
+//! ([`SnapshotStore::with_current`]), revalidated by one generation load,
+//! and takes no lock while the pin is current. Default/violation actions
+//! are atomics for the same reason. The authoritative store is never read
+//! by a check.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use arc_swap::ArcSwap;
 use parking_lot::Mutex;
 
 use kop_core::error::ViolationKind;
@@ -127,17 +124,6 @@ impl ViolationAction {
     }
 }
 
-/// Which lookup path [`PolicyModule::check`] takes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CheckPath {
-    /// The pre-SMP path: every check locks the authoritative store. Kept
-    /// as the measured baseline, and because self-adjusting stores
-    /// (splay, cached) only reorganize on this path.
-    MutexStore,
-    /// The lock-free path: checks read the published snapshot (default).
-    Snapshot,
-}
-
 /// Outcome of an enforced guard check.
 #[derive(Debug)]
 pub enum GuardOutcome {
@@ -159,9 +145,9 @@ impl GuardOutcome {
     }
 }
 
-/// A classified check: the result plus, when a region grant permitted it
-/// via the snapshot path, the granting region and the generation it was
-/// observed under — what the guard TLB memoizes.
+/// A classified check: the result plus, when a region grant permitted it,
+/// the granting region and the generation it was observed under — what
+/// the guard TLB memoizes.
 pub struct ClassifiedCheck {
     /// The check result, identical to [`PolicyModule::check`]'s.
     pub result: Result<(), Violation>,
@@ -173,13 +159,6 @@ pub struct ClassifiedCheck {
 
 /// Maximum violation log entries retained.
 const LOG_CAP: usize = 1024;
-
-/// The intrinsic table published for lock-free checks: sorted grant ids
-/// plus the default-allow flag.
-struct IntrinsicSnapshot {
-    allowed: Vec<u32>,
-    default_allow: bool,
-}
 
 /// The CARAT KOP policy module.
 ///
@@ -194,17 +173,15 @@ struct IntrinsicSnapshot {
 /// assert!(pm.check(VAddr(0x9000), Size(8), AccessFlags::READ).is_err());
 /// ```
 pub struct PolicyModule {
-    /// Authoritative store — mutations only (plus the MutexStore check
-    /// path). Every mutation republishes `snapshot` before releasing the
-    /// lock, so generation order matches mutation order.
+    /// Authoritative store — mutations only. Every mutation republishes
+    /// `snapshot` before releasing the lock, so generation order matches
+    /// mutation order.
     store: Mutex<Box<dyn RegionStore + Send + Sync>>,
-    /// The published lock-free read path.
+    /// The published read path every check goes through.
     snapshot: SnapshotStore,
-    check_path: AtomicU8,
-    /// Authoritative intrinsic table (mutations only).
+    /// The privileged-intrinsic table (§5), read and written under its
+    /// lock.
     intrinsics: Mutex<IntrinsicPolicy>,
-    /// Published intrinsic table for lock-free checks.
-    intrinsic_snap: ArcSwap<IntrinsicSnapshot>,
     default_action: AtomicU8,
     violation_action: AtomicU8,
     stats: GuardStats,
@@ -235,12 +212,7 @@ impl PolicyModule {
         PolicyModule {
             store: Mutex::new(make_store(kind)),
             snapshot: SnapshotStore::new(kind),
-            check_path: AtomicU8::new(1), // Snapshot
             intrinsics: Mutex::new(IntrinsicPolicy::new()),
-            intrinsic_snap: ArcSwap::from_pointee(IntrinsicSnapshot {
-                allowed: Vec::new(),
-                default_allow: false,
-            }),
             default_action: AtomicU8::new(DefaultAction::Deny.to_u8()),
             violation_action: AtomicU8::new(ViolationAction::Panic.to_u8()),
             stats: GuardStats::new(),
@@ -324,24 +296,7 @@ impl PolicyModule {
 
     /// Backing structure kind.
     pub fn store_kind(&self) -> StoreKind {
-        self.snapshot.load().kind()
-    }
-
-    /// Which lookup path [`Self::check`] takes.
-    pub fn check_path(&self) -> CheckPath {
-        match self.check_path.load(Ordering::Relaxed) {
-            0 => CheckPath::MutexStore,
-            _ => CheckPath::Snapshot,
-        }
-    }
-
-    /// Select the lookup path (the SMP figure measures both).
-    pub fn set_check_path(&self, path: CheckPath) {
-        let v = match path {
-            CheckPath::MutexStore => 0,
-            CheckPath::Snapshot => 1,
-        };
-        self.check_path.store(v, Ordering::Relaxed);
+        self.snapshot.with_current(|snap| snap.kind())
     }
 
     /// Republish the snapshot from the locked authoritative store.
@@ -435,15 +390,16 @@ impl PolicyModule {
 
     /// Number of rules.
     pub fn region_count(&self) -> usize {
-        self.snapshot.load().len()
+        self.snapshot.with_current(|snap| snap.len())
     }
 
     /// Snapshot of all rules.
     pub fn regions(&self) -> Vec<Region> {
-        self.snapshot.load().regions().to_vec()
+        self.snapshot.with_current(|snap| snap.regions().to_vec())
     }
 
-    /// The current published policy snapshot (lock-free).
+    /// The current published policy snapshot, cloned out under the
+    /// snapshot store's lock.
     pub fn policy_snapshot(&self) -> Arc<PolicySnapshot> {
         self.snapshot.load_full()
     }
@@ -501,53 +457,32 @@ impl PolicyModule {
         }
     }
 
-    fn publish_intrinsics(&self, table: &IntrinsicPolicy) {
-        self.intrinsic_snap.store(Arc::new(IntrinsicSnapshot {
-            allowed: table.granted(), // sorted (BTreeSet order)
-            default_allow: table.default_allow,
-        }));
-    }
-
     /// Grant a privileged intrinsic (§5 extension).
     pub fn allow_intrinsic(&self, id: u32) {
-        let mut table = self.intrinsics.lock();
-        table.allow(id);
-        self.publish_intrinsics(&table);
+        self.intrinsics.lock().allow(id);
     }
 
     /// Revoke a privileged intrinsic; returns whether it was granted.
     pub fn revoke_intrinsic(&self, id: u32) -> bool {
-        let mut table = self.intrinsics.lock();
-        let was = table.revoke(id);
-        self.publish_intrinsics(&table);
-        was
+        self.intrinsics.lock().revoke(id)
     }
 
     /// The granted intrinsic ids.
     pub fn granted_intrinsics(&self) -> Vec<u32> {
-        self.intrinsic_snap.load().allowed.clone()
+        self.intrinsics.lock().granted()
     }
 
     /// The pure intrinsic check: classify, update stats, log violations.
-    /// Lock-free: consults the published intrinsic table.
     pub fn check_intrinsic(&self, id: u32) -> Result<(), Violation> {
-        let table = self.intrinsic_snap.load();
-        if table.default_allow || table.allowed.binary_search(&id).is_ok() {
-            self.stats.record_permitted();
-            Ok(())
-        } else {
-            // Same violation shape as IntrinsicPolicy::check: the
-            // "address" carries the intrinsic id, size 0, EXEC intent.
-            let v = Violation::new(
-                VAddr(id as u64),
-                Size(0),
-                AccessFlags::EXEC,
-                ViolationKind::ForbiddenIntrinsic,
-            );
-            self.stats.record_insufficient();
-            self.log.push(v);
-            Err(v)
+        let verdict = self.intrinsics.lock().check(id);
+        match verdict {
+            Ok(()) => self.stats.record_permitted(),
+            Err(v) => {
+                self.stats.record_insufficient();
+                self.log.push(v);
+            }
         }
+        verdict
     }
 
     /// Check an intrinsic and apply the configured violation action.
@@ -697,10 +632,10 @@ impl PolicyModule {
     /// The pure check: classify the access, update stats, log violations.
     /// Does **not** apply the violation action — see [`Self::enforce`].
     ///
-    /// On the default [`CheckPath::Snapshot`] this takes **no lock**:
-    /// one pinned snapshot load, a frozen-table lookup, and relaxed
-    /// counter updates (the denial paths additionally take the cold log
-    /// mutex).
+    /// While this thread's snapshot pin is current this takes **no
+    /// lock**: one generation load, a frozen-table lookup, and relaxed
+    /// counter updates (a stale pin re-pins under the snapshot mutex;
+    /// the denial paths additionally take the cold log mutex).
     pub fn check(&self, addr: VAddr, size: Size, flags: AccessFlags) -> Result<(), Violation> {
         if self.vacuous(size, flags) {
             self.stats.record_permitted();
@@ -711,16 +646,15 @@ impl PolicyModule {
             self.log.push(v);
             return Err(v);
         }
-        let lookup = match self.check_path() {
-            CheckPath::Snapshot => self.snapshot.load().lookup(addr, size, flags),
-            CheckPath::MutexStore => self.store.lock().lookup(addr, size, flags),
-        };
+        let lookup = self
+            .snapshot
+            .with_current(|snap| snap.lookup(addr, size, flags));
         self.settle(addr, size, flags, lookup)
     }
 
-    /// The check the guard TLB uses: always the lock-free snapshot path,
-    /// and reports which region granted a permit (plus the generation it
-    /// was observed under) so the caller may memoize it.
+    /// The check the guard TLB uses: [`Self::check`], reporting which
+    /// region granted a permit (plus the generation it was observed
+    /// under) so the caller may memoize it.
     pub fn check_classified(&self, addr: VAddr, size: Size, flags: AccessFlags) -> ClassifiedCheck {
         if self.vacuous(size, flags) {
             self.stats.record_permitted();
@@ -737,10 +671,11 @@ impl PolicyModule {
                 grant: None,
             };
         }
-        let snap = self.snapshot.load();
-        let lookup = snap.lookup(addr, size, flags);
+        let (lookup, generation) = self
+            .snapshot
+            .with_current(|snap| (snap.lookup(addr, size, flags), snap.generation()));
         let grant = match lookup {
-            Lookup::Permitted(r) => Some((r, snap.generation())),
+            Lookup::Permitted(r) => Some((r, generation)),
             _ => None,
         };
         ClassifiedCheck {
@@ -976,24 +911,27 @@ mod tests {
     }
 
     #[test]
-    fn both_check_paths_agree_for_every_store_kind() {
+    fn check_agrees_with_store_reference_for_every_store_kind() {
         for kind in StoreKind::ALL {
+            let region =
+                Region::new(VAddr(0x10_0000), Size(0x1000), Protection::READ_ONLY).unwrap();
             let pm = PolicyModule::with_kind(kind);
-            pm.add_region(
-                Region::new(VAddr(0x10_0000), Size(0x1000), Protection::READ_ONLY).unwrap(),
-            )
-            .unwrap();
+            pm.add_region(region).unwrap();
+            let mut reference = make_store(kind);
+            reference.insert(region).unwrap();
             for (addr, size, flags) in [
                 (0x10_0800u64, 8u64, AccessFlags::READ),
                 (0x10_0800, 8, AccessFlags::WRITE),
                 (0x20_0000, 8, AccessFlags::READ),
                 (0x10_0ff8, 16, AccessFlags::READ),
             ] {
-                pm.set_check_path(CheckPath::Snapshot);
-                let snap = pm.check(VAddr(addr), Size(size), flags).map_err(|v| v.kind);
-                pm.set_check_path(CheckPath::MutexStore);
-                let mutex = pm.check(VAddr(addr), Size(size), flags).map_err(|v| v.kind);
-                assert_eq!(snap, mutex, "{kind} diverged at {addr:#x}");
+                let got = pm.check(VAddr(addr), Size(size), flags).map_err(|v| v.kind);
+                let want = match reference.lookup(VAddr(addr), Size(size), flags) {
+                    Lookup::Permitted(_) => Ok(()),
+                    Lookup::Forbidden(_) => Err(ViolationKind::InsufficientPermissions),
+                    Lookup::NoMatch => Err(ViolationKind::NoMatchingRegion),
+                };
+                assert_eq!(got, want, "{kind} diverged at {addr:#x}");
             }
         }
     }

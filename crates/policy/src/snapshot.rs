@@ -1,37 +1,40 @@
-//! RCU-style published snapshots of the region store — the lock-free
-//! guard read path.
+//! Published snapshots of the region store — the guard read path.
 //!
 //! The region table is textbook read-mostly state: writes happen at
 //! insmod/rmmod and grant/revoke rates, reads on *every* module load and
 //! store. [`SnapshotStore`] therefore keeps an immutable
-//! [`PolicySnapshot`] behind an `arc-swap` atomic pointer: readers load
-//! the snapshot and run `lookup` with zero locks; writers rebuild a fresh
-//! snapshot from the authoritative (mutex-protected) store and publish it
-//! whole. A reader mid-check keeps the snapshot it pinned alive — it can
-//! never observe a torn table — and reclamation of the old snapshot is
-//! deferred until the last reader drops it.
+//! [`PolicySnapshot`] behind a `Mutex<Arc<_>>` that only writers and
+//! re-pinning readers take: writers rebuild a fresh snapshot from the
+//! authoritative (mutex-protected) store and install it whole; readers go
+//! through [`SnapshotStore::with_current`], which serves the check from a
+//! per-thread pinned `Arc` while that pin's generation is still the
+//! store's current one. A reader mid-check keeps the snapshot it pinned
+//! alive — it can never observe a torn table — and the old snapshot is
+//! freed when the last pin on it is replaced.
 //!
 //! Every publish bumps a monotonic **generation**. The generation is the
-//! invalidation signal for the per-site guard TLB
-//! ([`crate::tlb::GuardTlb`]): a cached grant is valid only while its
-//! recorded generation equals the store's current one, so any table write
-//! — grant, revoke, wholesale replace — flushes every TLB at the cost of
-//! one atomic store.
+//! invalidation signal for the per-thread pins and for the per-site guard
+//! TLB ([`crate::tlb::GuardTlb`]): a pinned snapshot or a cached grant is
+//! valid only while its generation equals the store's current one, so
+//! any table write — grant, revoke, wholesale replace — retires every pin
+//! and flushes every TLB at the cost of one atomic store.
 //!
 //! Memory-ordering argument (revoke → publish → reader-miss): the writer
-//! installs the new snapshot pointer *before* it stores the new
-//! generation, and both are `SeqCst`. A revoke therefore does not return
-//! until the shrunken table is the published one. Any reader that starts
-//! a check after revoke returns (i.e. observes any effect ordered after
-//! it) loads either the new generation — forcing a TLB miss and a lookup
-//! in the new snapshot — or the new snapshot directly. A TLB entry tagged
-//! with the old generation can never match again.
+//! installs the new snapshot under the `current` mutex *before* it stores
+//! the new generation (`SeqCst`), so a revoke does not return until the
+//! shrunken table is the installed one. A reader that starts a check
+//! after revoke returns loads a generation at least as new as the
+//! revoke's. It uses its pin only if the pinned snapshot's generation
+//! equals the loaded one — which the old snapshot's cannot — and
+//! otherwise clones `current` under the mutex, which already holds the
+//! new table. A TLB entry tagged with the old generation can never match
+//! again either.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use arc_swap::ArcSwap;
 use parking_lot::Mutex;
 
 use kop_core::{AccessFlags, Region, Size, VAddr};
@@ -134,14 +137,29 @@ impl std::fmt::Debug for PolicySnapshot {
     }
 }
 
-/// The epoch/RCU cell: current snapshot + generation + publish counter.
+/// Source of [`SnapshotStore`] ids. Ids are never reused, so a pin left
+/// behind by a dropped store can never match a later store allocated at
+/// the same address (every store's generations start at 1, so the
+/// generation alone cannot tell them apart).
+static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// This thread's pinned snapshot, `(store id, snapshot)`: one slot
+    /// shared by every store the thread checks against.
+    static PIN: Cell<Option<(u64, Arc<PolicySnapshot>)>> = const { Cell::new(None) };
+}
+
+/// The published cell: current snapshot + generation + publish counter.
 ///
 /// Writers must be externally serialized (the policy module publishes
-/// while holding its store mutex); readers are lock-free.
+/// while holding its store mutex); readers take the `current` mutex only
+/// when their per-thread pin is stale.
 pub struct SnapshotStore {
-    current: ArcSwap<PolicySnapshot>,
-    /// Stored *after* the snapshot pointer on publish; the TLB validity
-    /// tag. Starts at 1 so 0 can mean "no cached entry".
+    /// Process-unique store id keying the per-thread pins.
+    id: u64,
+    current: Mutex<Arc<PolicySnapshot>>,
+    /// Stored *after* `current` is replaced on publish; the pin and TLB
+    /// validity tag. Starts at 1 so 0 can mean "no cached entry".
     generation: AtomicU64,
     publishes: Counter,
     /// Bounded `(generation, regions)` history for the validator's grant
@@ -159,7 +177,8 @@ impl SnapshotStore {
         let mut history = VecDeque::with_capacity(SNAPSHOT_HISTORY_CAP);
         history.push_back((1, Vec::new()));
         SnapshotStore {
-            current: ArcSwap::from_pointee(PolicySnapshot::build(kind, Vec::new(), 1)),
+            id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
+            current: Mutex::new(Arc::new(PolicySnapshot::build(kind, Vec::new(), 1))),
             generation: AtomicU64::new(1),
             publishes: Counter::new("policy.snapshot_publishes"),
             history: Mutex::new(history),
@@ -168,21 +187,34 @@ impl SnapshotStore {
     }
 
     /// The current generation. `SeqCst` so that a generation observed
-    /// after a publish implies the published snapshot is visible too.
+    /// after a publish implies the published snapshot is installed too.
     #[inline]
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::SeqCst)
     }
 
-    /// Pin and borrow the current snapshot (lock-free).
+    /// Run `f` on a snapshot at least as new as the generation observed
+    /// on entry. The snapshot comes from this thread's pin when the pin
+    /// belongs to this store and its generation is the current one (no
+    /// lock, no reference-count traffic); otherwise `current` is cloned
+    /// under the mutex and becomes the thread's new pin.
     #[inline]
-    pub fn load(&self) -> arc_swap::Guard<'_, PolicySnapshot> {
-        self.current.load()
+    pub fn with_current<R>(&self, f: impl FnOnce(&PolicySnapshot) -> R) -> R {
+        let gen = self.generation();
+        let snap = match PIN.try_with(Cell::take).ok().flatten() {
+            Some((id, snap)) if id == self.id && snap.generation() == gen => snap,
+            _ => self.load_full(),
+        };
+        let result = f(&snap);
+        // Fails only while the thread's locals are being torn down; the
+        // snapshot is then simply dropped.
+        let _ = PIN.try_with(|pin| pin.set(Some((self.id, snap))));
+        result
     }
 
-    /// Clone out the current snapshot.
+    /// Clone out the current snapshot (takes the `current` mutex).
     pub fn load_full(&self) -> Arc<PolicySnapshot> {
-        self.current.load_full()
+        Arc::clone(&self.current.lock())
     }
 
     /// Rebuild and publish a new snapshot; returns the new generation.
@@ -198,10 +230,11 @@ impl SnapshotStore {
                 history.pop_front();
             }
         }
-        self.current
-            .store(Arc::new(PolicySnapshot::build(kind, regions, gen)));
-        // Snapshot first, generation second: a TLB that sees the new
-        // generation is guaranteed the new snapshot is already live.
+        let snap = Arc::new(PolicySnapshot::build(kind, regions, gen));
+        // The replaced snapshot is dropped after the lock is released.
+        let _old = std::mem::replace(&mut *self.current.lock(), snap);
+        // Snapshot first, generation second: a pin or TLB that sees the
+        // new generation is guaranteed the new snapshot is installed.
         self.generation.store(gen, Ordering::SeqCst);
         self.publishes.inc();
         for sub in self.subscribers.lock().iter() {
@@ -247,7 +280,7 @@ mod tests {
         let s = SnapshotStore::new(StoreKind::Table);
         assert_eq!(s.generation(), 1);
         assert_eq!(
-            s.load().lookup(VAddr(0x1000), Size(8), AccessFlags::READ),
+            s.with_current(|snap| snap.lookup(VAddr(0x1000), Size(8), AccessFlags::READ)),
             Lookup::NoMatch
         );
     }
@@ -263,13 +296,13 @@ mod tests {
         assert_eq!(s.generation(), 2);
         assert_eq!(s.publish_counter().get(), 1);
         assert!(matches!(
-            s.load().lookup(VAddr(0x1800), Size(8), AccessFlags::RW),
+            s.with_current(|snap| snap.lookup(VAddr(0x1800), Size(8), AccessFlags::RW)),
             Lookup::Permitted(_)
         ));
         let g = s.publish(StoreKind::Table, Vec::new());
         assert_eq!(g, 3);
         assert_eq!(
-            s.load().lookup(VAddr(0x1800), Size(8), AccessFlags::RW),
+            s.with_current(|snap| snap.lookup(VAddr(0x1800), Size(8), AccessFlags::RW)),
             Lookup::NoMatch
         );
     }

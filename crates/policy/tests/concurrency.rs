@@ -4,7 +4,7 @@
 //! consistent: every check sees either the old or the new rule set,
 //! never a torn one.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use kop_core::{AccessFlags, Protection, Region, Size, VAddr};
@@ -22,11 +22,16 @@ fn checks_race_mutations_without_tearing() {
         // A permanent region that must never stop matching.
         pm.add_region(region(0x100_0000, 0x1000)).unwrap();
         let stop = Arc::new(AtomicBool::new(false));
+        // Mutations start only once every checker has completed a check,
+        // so the checks race them instead of all starting after the last
+        // one (a publish is fast enough to beat a thread's first wakeup).
+        let ready = Arc::new(AtomicUsize::new(0));
 
         let checkers: Vec<_> = (0..4)
             .map(|_| {
                 let pm = Arc::clone(&pm);
                 let stop = Arc::clone(&stop);
+                let ready = Arc::clone(&ready);
                 std::thread::spawn(move || {
                     let mut permitted = 0u64;
                     while !stop.load(Ordering::Relaxed) {
@@ -37,6 +42,9 @@ fn checks_race_mutations_without_tearing() {
                         // A churned region may permit or deny — either is
                         // fine, it must just not panic or tear.
                         let _ = pm.check(VAddr(0x200_0000), Size(8), AccessFlags::READ);
+                        if permitted == 1 {
+                            ready.fetch_add(1, Ordering::SeqCst);
+                        }
                     }
                     permitted
                 })
@@ -46,7 +54,11 @@ fn checks_race_mutations_without_tearing() {
         let mutator = {
             let pm = Arc::clone(&pm);
             let stop = Arc::clone(&stop);
+            let ready = Arc::clone(&ready);
             std::thread::spawn(move || {
+                while ready.load(Ordering::SeqCst) < 4 {
+                    std::thread::yield_now();
+                }
                 for i in 0..500u64 {
                     let r = region(0x200_0000, 0x1000);
                     let _ = pm.add_region(r);

@@ -1,7 +1,9 @@
 //! Concurrency torture tests for the SMP guard path: N readers hammer
 //! `check` while a writer grants/revokes — no torn tables, no stale
-//! admits after a revoke returns, generations monotonic, and the
-//! lock-free paths agree with the mutex path on every input.
+//! admits after a revoke returns, generations monotonic, per-thread
+//! snapshot pins never answer for the wrong policy or a revoked
+//! generation, and the check agrees with the store kind's own lookup on
+//! every input.
 //!
 //! The stale-admit detector uses an odd/even state counter to rule out
 //! TOCTOU false positives: the writer stores `2k` (even) *before* it
@@ -13,11 +15,12 @@
 //! window is a genuine stale admit.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use kop_core::error::ViolationKind;
 use kop_core::{AccessFlags, Protection, Region, Size, VAddr};
-use kop_policy::{CheckPath, GuardTlb, PolicyModule, StoreKind};
+use kop_policy::store::{make_store, Lookup};
+use kop_policy::{GuardTlb, PolicyModule, StoreKind};
 
 use proptest::prelude::*;
 
@@ -209,8 +212,109 @@ fn concurrent_stats_reconcile_exactly() {
 }
 
 // ---------------------------------------------------------------------
-// Property tests: the lock-free paths agree with the mutex path.
+// Per-thread snapshot pins.
 // ---------------------------------------------------------------------
+
+#[test]
+fn alternating_policies_on_one_thread_answer_from_their_own_rules() {
+    // One thread, one pin slot, two stores: every check re-pins, and
+    // each answer must come from the policy that was asked.
+    let a = PolicyModule::new();
+    a.add_region(region(0x1000, 0x1000, Protection::READ_WRITE))
+        .unwrap();
+    let b = PolicyModule::new();
+    b.add_region(region(0x8000, 0x1000, Protection::READ_ONLY))
+        .unwrap();
+    assert_eq!(a.store_generation(), b.store_generation());
+    for _ in 0..100 {
+        assert!(a.check(VAddr(0x1800), Size(8), AccessFlags::RW).is_ok());
+        assert_eq!(
+            b.check(VAddr(0x1800), Size(8), AccessFlags::RW)
+                .unwrap_err()
+                .kind,
+            ViolationKind::NoMatchingRegion
+        );
+        assert!(b.check(VAddr(0x8800), Size(8), AccessFlags::READ).is_ok());
+        assert_eq!(
+            a.check(VAddr(0x8800), Size(8), AccessFlags::READ)
+                .unwrap_err()
+                .kind,
+            ViolationKind::NoMatchingRegion
+        );
+    }
+}
+
+#[test]
+fn pin_of_a_dropped_policy_never_answers_for_its_successor() {
+    // Both policies go through the same generation history (1 -> 2), and
+    // the allocator is free to place the second at the first one's
+    // address: only the never-reused store id tells the pins apart.
+    for _ in 0..32 {
+        let old = Box::new(PolicyModule::new());
+        old.add_region(region(0x1000, 0x1000, Protection::READ_WRITE))
+            .unwrap();
+        assert!(old.check(VAddr(0x1800), Size(8), AccessFlags::RW).is_ok());
+        let old_gen = old.store_generation();
+        drop(old);
+
+        let new = Box::new(PolicyModule::new());
+        new.add_region(region(0x8000, 0x1000, Protection::READ_WRITE))
+            .unwrap();
+        assert_eq!(new.store_generation(), old_gen);
+        assert_eq!(
+            new.check(VAddr(0x1800), Size(8), AccessFlags::RW)
+                .unwrap_err()
+                .kind,
+            ViolationKind::NoMatchingRegion,
+            "answered from the dropped policy's pinned rules"
+        );
+        assert!(new.check(VAddr(0x8800), Size(8), AccessFlags::RW).is_ok());
+    }
+}
+
+#[test]
+fn revoke_on_another_thread_retires_this_threads_pin() {
+    let pm = PolicyModule::new();
+    let grant = region(0x1000, 0x1000, Protection::READ_WRITE);
+    pm.add_region(grant).unwrap();
+    let pinned = Barrier::new(2);
+    let revoked = Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            // Thread A: pin the granting generation.
+            assert!(pm.check(VAddr(0x1800), Size(8), AccessFlags::RW).is_ok());
+            pinned.wait();
+            revoked.wait();
+            // The revoke has returned: the pin is stale and must not
+            // answer.
+            assert_eq!(
+                pm.check(VAddr(0x1800), Size(8), AccessFlags::RW)
+                    .unwrap_err()
+                    .kind,
+                ViolationKind::NoMatchingRegion
+            );
+        });
+        s.spawn(|| {
+            // Thread B: revoke while A holds its pin.
+            pinned.wait();
+            pm.remove_region(grant.base).unwrap();
+            revoked.wait();
+        });
+    });
+}
+
+// ---------------------------------------------------------------------
+// Property tests: the check agrees with the store kind's own lookup.
+// ---------------------------------------------------------------------
+
+/// What a default-deny `check` must answer for a store lookup.
+fn expected(lookup: Lookup) -> Result<(), ViolationKind> {
+    match lookup {
+        Lookup::Permitted(_) => Ok(()),
+        Lookup::Forbidden(_) => Err(ViolationKind::InsufficientPermissions),
+        Lookup::NoMatch => Err(ViolationKind::NoMatchingRegion),
+    }
+}
 
 fn arb_prot() -> impl Strategy<Value = Protection> {
     prop_oneof![
@@ -240,7 +344,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn snapshot_path_agrees_with_mutex_path(
+    fn check_agrees_with_store_reference(
         regions in proptest::collection::vec(arb_region(), 0..10),
         probes in proptest::collection::vec(
             (0u64..0x40_000, prop_oneof![Just(1u64), Just(2), Just(4), Just(8)], arb_flags()),
@@ -249,17 +353,16 @@ proptest! {
     ) {
         for kind in [StoreKind::Table, StoreKind::Sorted, StoreKind::Interval] {
             let pm = PolicyModule::with_kind(kind);
+            let mut reference = make_store(kind);
             for r in &regions {
-                // Some stores reject duplicate bases — skip those rules
-                // on both paths alike.
-                let _ = pm.add_region(*r);
+                // Some stores reject duplicate bases — the policy and its
+                // reference must reject the same rules.
+                prop_assert_eq!(pm.add_region(*r).is_ok(), reference.insert(*r).is_ok());
             }
             for &(addr, size, flags) in &probes {
-                pm.set_check_path(CheckPath::Snapshot);
-                let snap = pm.check(VAddr(addr), Size(size), flags).map_err(|v| v.kind);
-                pm.set_check_path(CheckPath::MutexStore);
-                let mutex = pm.check(VAddr(addr), Size(size), flags).map_err(|v| v.kind);
-                prop_assert_eq!(snap, mutex, "paths diverged ({:?} {:#x})", kind, addr);
+                let got = pm.check(VAddr(addr), Size(size), flags).map_err(|v| v.kind);
+                let want = expected(reference.lookup(VAddr(addr), Size(size), flags));
+                prop_assert_eq!(got, want, "check diverged from {:?} at {:#x}", kind, addr);
             }
         }
     }
@@ -299,21 +402,18 @@ proptest! {
 
 #[test]
 fn malformed_access_kinds_survive_concurrency() {
-    // The precheck path (malformed/overflow) is lock-free and must
-    // classify identically on both check paths.
+    // The precheck path (malformed/overflow) is lock-free and classifies
+    // before any snapshot is read.
     let pm = PolicyModule::new();
-    for path in [CheckPath::Snapshot, CheckPath::MutexStore] {
-        pm.set_check_path(path);
-        // Size-0 with intent flags is the vacuous range-guard case —
-        // allowed. Only the flag-less shape is malformed.
-        assert!(pm.check(VAddr(0x1000), Size(0), AccessFlags::READ).is_ok());
-        let v = pm
-            .check(VAddr(0x1000), Size(0), AccessFlags::NONE)
-            .unwrap_err();
-        assert_eq!(v.kind, ViolationKind::MalformedAccess);
-        let v = pm
-            .check(VAddr(u64::MAX), Size(8), AccessFlags::READ)
-            .unwrap_err();
-        assert_eq!(v.kind, ViolationKind::AddressOverflow);
-    }
+    // Size-0 with intent flags is the vacuous range-guard case —
+    // allowed. Only the flag-less shape is malformed.
+    assert!(pm.check(VAddr(0x1000), Size(0), AccessFlags::READ).is_ok());
+    let v = pm
+        .check(VAddr(0x1000), Size(0), AccessFlags::NONE)
+        .unwrap_err();
+    assert_eq!(v.kind, ViolationKind::MalformedAccess);
+    let v = pm
+        .check(VAddr(u64::MAX), Size(8), AccessFlags::READ)
+        .unwrap_err();
+    assert_eq!(v.kind, ViolationKind::AddressOverflow);
 }

@@ -36,9 +36,7 @@
 mod lower;
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use arc_swap::ArcSwap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 pub use lower::{lower_module, LowerError};
 
@@ -373,21 +371,38 @@ pub struct PromotedTier {
     funcs: BTreeMap<u32, Arc<CompiledFunc>>,
 }
 
+impl PromotedTier {
+    /// The promoted re-lowering of function `idx`, if this tier has one;
+    /// `None` means run the general bytecode.
+    pub fn func(&self, idx: u32) -> Option<&CompiledFunc> {
+        self.funcs.get(&idx).map(|f| &**f)
+    }
+}
+
 /// A module lowered to bytecode: built once at insmod, cached in the
 /// loaded-module image, shared by every subsequent call.
 ///
 /// The optional *promoted tier* holds re-lowered copies of hot
-/// functions whose guard ops carry inlined bounds. It lives behind an
-/// [`ArcSwap`] so the promotion pass can publish (and epoch bumps can
-/// invalidate) without locking executors; clones of the module share
-/// one tier.
+/// functions whose guard ops carry inlined bounds. It lives behind a
+/// shared mutex: the promotion pass publishes (and epoch bumps
+/// invalidate) by swapping the tier's `Arc`, and an executor takes the
+/// lock once per promoted frame entry to clone the promoted function it
+/// runs (each module image is executed by one interpreter thread at a
+/// time in practice, so the lock is uncontended). Clones of the module
+/// share one tier.
 #[derive(Clone, Debug)]
 pub struct CompiledModule {
     /// The module's name (used for policy lookup and diagnostics).
     pub module_name: String,
     funcs: Vec<CompiledFunc>,
     by_name: BTreeMap<String, u32>,
-    promoted: Arc<ArcSwap<PromotedTier>>,
+    /// The live tier (`[0]`) and the tier it replaced (`[1]`). A
+    /// replaced tier is freed only at the next install, after its
+    /// successor exists: an invalidation frees a whole tier of re-lowered
+    /// code right before re-promotion allocates the next one, and freeing
+    /// it at once let the allocator hand the heap top back to the OS and
+    /// fault it in again on every republish → re-promote cycle.
+    promoted: Arc<Mutex<[Arc<PromotedTier>; 2]>>,
 }
 
 impl CompiledModule {
@@ -401,8 +416,27 @@ impl CompiledModule {
             module_name,
             funcs,
             by_name,
-            promoted: Arc::new(ArcSwap::from_pointee(PromotedTier::default())),
+            promoted: Arc::new(Mutex::new(Default::default())),
         }
+    }
+
+    /// Run `f` on the current promoted tier under its lock. A poisoned
+    /// lock still holds a whole tier (the critical sections only read it
+    /// or swap the `Arc`).
+    fn with_tier<R>(&self, f: impl FnOnce(&PromotedTier) -> R) -> R {
+        f(&self.promoted.lock().unwrap_or_else(PoisonError::into_inner)[0])
+    }
+
+    /// Replace the promoted tier wholesale, retiring the live one (see
+    /// the `promoted` field). The previously retired tier is dropped
+    /// after the lock is released.
+    fn install(&self, tier: PromotedTier) {
+        let tier = Arc::new(tier);
+        let mut cell = self.promoted.lock().unwrap_or_else(PoisonError::into_inner);
+        let replaced = std::mem::replace(&mut cell[0], tier);
+        let freed = std::mem::replace(&mut cell[1], replaced);
+        drop(cell);
+        drop(freed);
     }
 
     /// Index of a function by symbol name.
@@ -555,7 +589,7 @@ impl CompiledModule {
         if promoted_ops == 0 {
             return 0;
         }
-        self.promoted.store(Arc::new(tier));
+        self.install(tier);
         promoted_ops
     }
 
@@ -563,50 +597,48 @@ impl CompiledModule {
     /// Callers dispatch through this at call entry; a `None` means run
     /// the general bytecode.
     pub fn promoted_func(&self, idx: u32) -> Option<Arc<CompiledFunc>> {
-        self.promoted.load().funcs.get(&idx).cloned()
+        self.with_tier(|tier| tier.funcs.get(&idx).cloned())
     }
 
-    /// The promoted re-lowering of a function plus the revocation epoch
-    /// the tier was baked under, from **one** tier load — so a frame
-    /// entry can never pair one tier's function with another tier's
-    /// epoch.
-    pub fn promoted_entry(&self, idx: u32) -> Option<(Arc<CompiledFunc>, u64)> {
-        let tier = self.promoted.load();
-        tier.funcs.get(&idx).cloned().map(|f| (f, tier.epoch))
+    /// The current promoted tier. An executor takes it once per module
+    /// call and dispatches every frame of the call through it, so a frame
+    /// can never pair one tier's function with another tier's epoch.
+    pub fn promoted_tier(&self) -> Arc<PromotedTier> {
+        Arc::clone(&self.promoted.lock().unwrap_or_else(PoisonError::into_inner)[0])
     }
 
     /// Snapshot generation of the current promoted tier (0 = none).
     pub fn promoted_generation(&self) -> u64 {
-        self.promoted.load().gen
+        self.with_tier(|tier| tier.gen)
     }
 
     /// Revocation epoch of the current promoted tier (0 = none).
     pub fn promoted_epoch(&self) -> u64 {
-        self.promoted.load().epoch
+        self.with_tier(|tier| tier.epoch)
     }
 
     /// Number of functions with a promoted re-lowering in the current
     /// tier.
     pub fn promoted_func_count(&self) -> usize {
-        self.promoted.load().funcs.len()
+        self.with_tier(|tier| tier.funcs.len())
     }
 
     /// Number of inline (promoted) guard ops across the current tier.
     pub fn promoted_guard_count(&self) -> usize {
-        self.promoted
-            .load()
-            .funcs
-            .values()
-            .flat_map(|f| f.code.iter())
-            .filter(|op| {
-                matches!(
-                    op,
-                    Op::InlineGuardLoad { .. }
-                        | Op::InlineGuardStore { .. }
-                        | Op::InlineGuard { .. }
-                )
-            })
-            .count()
+        self.with_tier(|tier| {
+            tier.funcs
+                .values()
+                .flat_map(|f| f.code.iter())
+                .filter(|op| {
+                    matches!(
+                        op,
+                        Op::InlineGuardLoad { .. }
+                            | Op::InlineGuardStore { .. }
+                            | Op::InlineGuard { .. }
+                    )
+                })
+                .count()
+        })
     }
 
     /// Atomically drop the promoted tier: every subsequent call entry
@@ -614,7 +646,7 @@ impl CompiledModule {
     /// replacement so no executor can admit against a stale bound;
     /// in-flight promoted frames deopt per-op via the generation check.
     pub fn invalidate_promotions(&self) {
-        self.promoted.store(Arc::new(PromotedTier::default()));
+        self.install(PromotedTier::default());
     }
 }
 
@@ -727,7 +759,9 @@ mod promote_tests {
         let alias = m.clone();
         m.promote(9, 1, &[spec(9, 0x10, 0x20)]);
         assert_eq!(alias.promoted_generation(), 9, "clones share the tier");
-        assert_eq!(alias.promoted_entry(0).unwrap().1, 1, "entry carries epoch");
+        let tier = alias.promoted_tier();
+        assert_eq!(tier.epoch, 1, "tier carries its epoch");
+        assert!(tier.func(0).is_some());
         assert!(matches!(
             &alias.promoted_func(0).unwrap().code[1],
             Op::InlineGuard { gen: 9, .. }

@@ -299,10 +299,9 @@ fn smp_correctness_invariants_hold_at_paper_scale() {
     let fig = figures::smp();
     assert_eq!(fig.id, "smp");
     for label in [
-        "checkrate_mutex",
         "checkrate_snapshot",
         "checkrate_snapshot_tlb",
-        "mq_tx_mutex",
+        "mq_tx_snapshot",
         "mq_tx_snapshot_tlb",
     ] {
         let s = fig
