@@ -290,7 +290,9 @@ mod tests {
         let mut t = RegionTable::new();
         t.insert(r(0x1000, 0x1000, Protection::NONE)).unwrap();
         let err = t.insert(r(0x1000, 0x2000, Protection::ALL)).unwrap_err();
-        assert!(matches!(err, PolicyError::DuplicateBase { existing } if existing.base == VAddr(0x1000)));
+        assert!(
+            matches!(err, PolicyError::DuplicateBase { existing } if existing.base == VAddr(0x1000))
+        );
         assert_eq!(t.len(), 1);
     }
 

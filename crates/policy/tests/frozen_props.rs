@@ -88,8 +88,7 @@ fn arb_disjoint(max: usize) -> impl Strategy<Value = Vec<Region>> {
                 continue;
             }
             out.push(
-                Region::new(VAddr(0x10_0000 + slot * 0x1000), Size(len), prot_of(p))
-                    .expect("fits"),
+                Region::new(VAddr(0x10_0000 + slot * 0x1000), Size(len), prot_of(p)).expect("fits"),
             );
         }
         out
@@ -227,7 +226,9 @@ proptest! {
 fn frozen_agrees_with_linear_scan_at_5000_regions() {
     let mut state = 0x243f_6a88_85a3_08d3u64; // deterministic LCG
     let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         state >> 33
     };
     let mut regions = Vec::with_capacity(5000);
