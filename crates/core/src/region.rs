@@ -167,6 +167,48 @@ impl Region {
     }
 }
 
+/// A cached grant's bound: the `[lo, hi)` range and raw permission bits
+/// of the region that granted it. The one admit test every cached-grant
+/// tier runs — the per-thread site cache and the promoted bytecode's
+/// inline guards both call [`Bound::admits`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Bound {
+    /// Inclusive lower bound.
+    pub lo: u64,
+    /// Exclusive upper bound (saturated at `u64::MAX` for a region ending
+    /// at the top of the address space, so its last byte never admits —
+    /// the full check answers it instead).
+    pub hi: u64,
+    /// Granted permission bits ([`AccessFlags::raw`]).
+    pub perm: u32,
+}
+
+impl Bound {
+    /// The bound of a granting region.
+    #[inline]
+    pub fn of(region: &Region) -> Bound {
+        Bound {
+            lo: region.base.raw(),
+            hi: region.base.raw().saturating_add(region.len.raw()),
+            perm: region.prot.granted().raw(),
+        }
+    }
+
+    /// Whether the bound vouches for the access: a well-formed shape
+    /// (non-zero size, non-empty intent, no wrap past the top of the
+    /// address space), every byte inside `[lo, hi)`, and every intent bit
+    /// granted. Anything it refuses goes to the full policy check, which
+    /// classifies it (malformed, overflow, deny or permit).
+    #[inline]
+    pub fn admits(self, addr: VAddr, size: Size, flags: AccessFlags) -> bool {
+        let (addr, size, flags) = (addr.raw(), size.raw(), flags.raw());
+        size > 0
+            && flags != 0
+            && flags & !self.perm == 0
+            && matches!(addr.checked_add(size), Some(end) if self.lo <= addr && end <= self.hi)
+    }
+}
+
 impl fmt::Debug for Region {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -244,6 +286,31 @@ mod tests {
         assert!(ro.permits(VAddr(0x1000), Size(8), AccessFlags::READ));
         assert!(!ro.permits(VAddr(0x1000), Size(8), AccessFlags::WRITE));
         assert!(!ro.permits(VAddr(0x1000), Size(8), AccessFlags::RW));
+    }
+
+    #[test]
+    fn bound_admits_only_well_formed_covered_granted_accesses() {
+        let b = Bound::of(&Region::new(VAddr(0x1000), Size(0x100), Protection::READ_ONLY).unwrap());
+        assert_eq!(
+            b,
+            Bound {
+                lo: 0x1000,
+                hi: 0x1100,
+                perm: 1
+            }
+        );
+        assert!(b.admits(VAddr(0x1000), Size(8), AccessFlags::READ));
+        assert!(b.admits(VAddr(0x10f8), Size(8), AccessFlags::READ));
+        assert!(!b.admits(VAddr(0x10f9), Size(8), AccessFlags::READ)); // straddles hi
+        assert!(!b.admits(VAddr(0xfff), Size(8), AccessFlags::READ)); // below lo
+        assert!(!b.admits(VAddr(0x1000), Size(8), AccessFlags::RW)); // WRITE not granted
+        assert!(!b.admits(VAddr(0x1000), Size(8), AccessFlags::NONE)); // malformed
+        assert!(!b.admits(VAddr(0x1000), Size(0), AccessFlags::READ)); // size 0
+        let top = Bound::of(&Region::new(VAddr(u64::MAX - 15), Size(16), Protection::ALL).unwrap());
+        assert_eq!(top.hi, u64::MAX);
+        assert!(top.admits(VAddr(u64::MAX - 15), Size(8), AccessFlags::READ));
+        assert!(!top.admits(VAddr(u64::MAX - 7), Size(8), AccessFlags::READ)); // end wraps
+        assert!(!top.admits(VAddr(u64::MAX), Size(2), AccessFlags::READ));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use kop_core::{AccessFlags, Size, VAddr, Violation};
-use kop_policy::{GuardTlb, HotPolicy, HotSite, PolicyCheck, PolicyModule, SiteMap, TlbPolicy};
+use kop_policy::{PolicyCheck, PolicyModule, SiteCache, SiteMap};
 use kop_trace::{GuardDecision, Producer, SiteId, TraceEvent, Tracer};
 
 use crate::device::{DmaMem, E1000Device, FrameSink};
@@ -315,8 +315,8 @@ impl GuardTrace {
 }
 
 /// The driver's guard-site map as a [`SiteMap`] — the same classification
-/// [`GuardTrace::classify`] performs, expressed as address ranges so the
-/// guard TLB can key its entries by site. Site indices follow
+/// [`GuardTrace::classify`] performs, expressed as address ranges so a
+/// [`SiteCache`] can key its slots by site. Site indices follow
 /// [`DRIVER_SITE_LABELS`] order; unmatched addresses classify as site 6
 /// ("other").
 pub fn driver_site_map(arena_base: u64, mmio_base: u64) -> SiteMap {
@@ -381,97 +381,23 @@ impl<P: PolicyCheck> GuardedMem<P> {
     }
 }
 
-impl GuardedMem<TlbPolicy> {
+impl GuardedMem<SiteCache> {
     /// The SMP fast-path build: wrap a memory space with a shared policy
-    /// module fronted by a private per-thread guard TLB keyed by the
-    /// driver's site map. Steady-state guards cost one atomic generation
-    /// load plus a cached-region revalidation; any policy write
-    /// invalidates the TLB via generation bump.
-    pub fn with_tlb(inner: DirectMem, policy: Arc<PolicyModule>) -> GuardedMem<TlbPolicy> {
-        Self::with_tlb_prefixed(inner, policy, "policy.tlb")
-    }
-
-    /// Like [`GuardedMem::with_tlb`] but with a custom counter prefix for
-    /// the TLB's hit/miss cells — give each queue/worker its own prefix
-    /// (e.g. `policy.tlb.q3`) so all TLBs can register into one counter
-    /// registry without aliasing.
-    pub fn with_tlb_prefixed(
+    /// module fronted by a private per-thread [`SiteCache`] keyed by the
+    /// driver's site map, with counters under `"<prefix>."` (give each
+    /// queue/worker its own prefix, e.g. `policy.tlb.q3`). Steady-state
+    /// guards cost three tag loads plus one bound compare; any policy
+    /// write retires every cached grant by its generation tag. For a
+    /// tracer or a prefill, build the cache yourself (with
+    /// [`driver_site_map`]) and pass it to [`GuardedMem::new`] or
+    /// [`GuardedMem::with_tracer`].
+    pub fn cached(
         inner: DirectMem,
         policy: Arc<PolicyModule>,
         prefix: &str,
-    ) -> GuardedMem<TlbPolicy> {
+    ) -> GuardedMem<SiteCache> {
         let map = driver_site_map(inner.arena_base, inner.mmio_base);
-        let tlb = GuardTlb::with_prefix(prefix);
-        GuardedMem::new(inner, TlbPolicy::new(policy, map, tlb))
-    }
-
-    /// [`GuardedMem::with_tlb`] plus per-site guard tracing (see
-    /// [`GuardedMem::with_tracer`]); the TLB's hit/miss counters are also
-    /// registered into the tracer's counter registry.
-    pub fn with_tlb_and_tracer(
-        inner: DirectMem,
-        policy: Arc<PolicyModule>,
-        tracer: Arc<Tracer>,
-    ) -> GuardedMem<TlbPolicy> {
-        let map = driver_site_map(inner.arena_base, inner.mmio_base);
-        let tlb = GuardTlb::new();
-        tlb.register_into(tracer.counters());
-        let trace = Some(GuardTrace::new(tracer));
-        GuardedMem {
-            inner,
-            policy: TlbPolicy::new(policy, map, tlb),
-            trace,
-        }
-    }
-}
-
-impl GuardedMem<TlbPolicy> {
-    /// Like [`GuardedMem::with_tlb_prefixed`], but the TLB starts warm:
-    /// each `(site, addr, size, flags)` seed is pre-resolved against the
-    /// current policy snapshot before the first guard runs, so a
-    /// restarted (or freshly promoted) worker pays no cold-miss burst.
-    /// Preseeding bumps only the `<prefix>.preseeded` counter — never
-    /// hits, misses, or policy checks — so reconciliation still sees
-    /// exactly one policy check per cold guard.
-    pub fn with_tlb_warmed(
-        inner: DirectMem,
-        policy: Arc<PolicyModule>,
-        prefix: &str,
-        seeds: &[(u32, u64, u64, AccessFlags)],
-    ) -> GuardedMem<TlbPolicy> {
-        let map = driver_site_map(inner.arena_base, inner.mmio_base);
-        let tlb = GuardTlb::with_prefix(prefix);
-        GuardedMem::new(inner, TlbPolicy::warmed(policy, map, tlb, seeds))
-    }
-}
-
-impl GuardedMem<HotPolicy> {
-    /// The inline-bounds build: wrap a memory space with a shared policy
-    /// fronted by a per-thread [`HotPolicy`] that admits promoted sites
-    /// with three baked compares (bounds + generation) and deopts to the
-    /// full policy path on any miss. Counters land under `"jit."`.
-    pub fn with_hot(
-        inner: DirectMem,
-        policy: Arc<PolicyModule>,
-        sites: Vec<HotSite>,
-    ) -> GuardedMem<HotPolicy> {
-        let map = driver_site_map(inner.arena_base, inner.mmio_base);
-        GuardedMem::new(inner, HotPolicy::promote(policy, map, sites))
-    }
-
-    /// Like [`GuardedMem::with_hot`] with a custom counter prefix (one
-    /// per queue/worker, e.g. `jit.q3`).
-    pub fn with_hot_prefixed(
-        inner: DirectMem,
-        policy: Arc<PolicyModule>,
-        sites: Vec<HotSite>,
-        prefix: &str,
-    ) -> GuardedMem<HotPolicy> {
-        let map = driver_site_map(inner.arena_base, inner.mmio_base);
-        GuardedMem::new(
-            inner,
-            HotPolicy::promote_prefixed(prefix, policy, map, sites),
-        )
+        GuardedMem::new(inner, SiteCache::new(policy, map, prefix))
     }
 }
 
@@ -728,20 +654,20 @@ mod tests {
     }
 
     #[test]
-    fn tlb_front_caches_driver_guards() {
+    fn site_cache_front_caches_driver_guards() {
         let pm = std::sync::Arc::new(PolicyModule::two_region_paper_policy());
-        let mut m = GuardedMem::with_tlb(direct(), std::sync::Arc::clone(&pm));
+        let mut m = GuardedMem::cached(direct(), std::sync::Arc::clone(&pm), "policy.tlb");
         let base = m.arena_base();
         let before = pm.stats().checks;
         for _ in 0..100 {
             m.write(base + crate::driver::TX_RING_OFF, 8, 1).unwrap();
         }
-        // One miss filled the TLB; the other 99 guards never reached the
-        // policy module.
-        assert_eq!(pm.stats().checks - before, 1);
+        // One miss filled the slot; the other 99 guards were hits, which
+        // a flush charges to the policy: one check per guard call.
+        let cache = m.policy();
+        assert_eq!((cache.hits(), cache.misses()), (99, 1));
+        assert_eq!(pm.stats().checks - before, 100);
         assert_eq!(m.counts().guard_calls, 100);
-        let tlb = m.policy().tlb();
-        assert_eq!(tlb.hits() + tlb.misses(), 100);
         // A policy write invalidates every cached grant at once.
         pm.clear_regions();
         assert!(m.write(base + crate::driver::TX_RING_OFF, 8, 1).is_err());

@@ -8,8 +8,8 @@
 //! (identical layout, so guard sites classify the same on every queue),
 //! and the **only** shared object between workers is the policy — which
 //! is exactly the contention point the `reproduce smp` figure measures.
-//! With the mutex check path every guard on every queue serializes on one
-//! lock; with the snapshot path (plus per-queue guard TLBs) queues scale
+//! Every guard reads the policy through the calling thread's snapshot
+//! pin, optionally fronted by a per-queue site cache, so queues scale
 //! independently.
 
 use std::time::{Duration, Instant};
@@ -64,8 +64,8 @@ impl MqReport {
 ///
 /// `make_policy(queue)` builds each worker's [`PolicyCheck`] front; pass
 /// a closure cloning one shared `Arc<PolicyModule>` (optionally wrapped
-/// in a per-queue [`kop_policy::TlbPolicy`] — see
-/// [`GuardedMem::with_tlb_prefixed`]) so every guard on every queue
+/// in a per-queue [`kop_policy::SiteCache`] — see [`GuardedMem::cached`])
+/// so every guard on every queue
 /// consults the same policy. Workers start together behind a barrier so
 /// `elapsed` measures genuinely concurrent transmit.
 pub fn run_mq_tx<P, F>(
@@ -129,7 +129,7 @@ where
 }
 
 /// Like [`run_mq_tx`] but the worker's memory space is built by
-/// `make_mem(queue)` — for callers that want per-queue guard TLBs or
+/// `make_mem(queue)` — for callers that want per-queue site caches or
 /// tracers wired in.
 pub fn run_mq_tx_with<M, F>(
     queues: usize,
@@ -216,29 +216,41 @@ mod tests {
     }
 
     #[test]
-    fn per_queue_tlbs_reconcile_with_guard_calls() {
+    fn per_queue_site_caches_reconcile_with_guard_calls() {
         let pm = permissive_policy();
         let frames = 50u64;
         let queues = 2usize;
         let before = pm.stats().checks;
+        let registry = kop_trace::CounterRegistry::new();
         let report = run_mq_tx_with(queues, frames, 64, |q| {
-            GuardedMem::with_tlb_prefixed(
+            let mem = GuardedMem::cached(
                 DirectMem::with_defaults(E1000Device::default()),
                 Arc::clone(&pm),
                 &format!("policy.tlb.q{q}"),
-            )
+            );
+            mem.policy().register_into(&registry);
+            mem
         })
         .unwrap();
         assert_eq!(report.delivered(), frames * queues as u64);
-        // The shared policy only saw the TLB misses; the driver's guard
-        // counter saw every guard. With warm per-site TLBs the full
-        // checks must be a small fraction of the guards.
-        let full_checks = pm.stats().checks - before;
+        // Each worker's cache flushed when its memory space dropped.
+        let count = |name: &str| {
+            (0..queues)
+                .map(|q| {
+                    registry
+                        .get(&format!("policy.tlb.q{q}.{name}"))
+                        .unwrap()
+                        .get()
+                })
+                .sum::<u64>()
+        };
+        let (hits, misses) = (count("hits"), count("misses"));
+        assert_eq!(hits + misses, report.guard_calls());
         assert!(
-            full_checks < report.guard_calls() / 2,
-            "TLB hits must have short-circuited most checks ({} vs {})",
-            full_checks,
-            report.guard_calls()
+            misses < report.guard_calls() / 2,
+            "warm per-site slots must answer most guards ({hits} hits vs {misses} misses)"
         );
+        // Hits are charged too: one policy check per guard call.
+        assert_eq!(pm.stats().checks - before, report.guard_calls());
     }
 }

@@ -11,7 +11,7 @@
 //! guard+access pairs run as one fused superinstruction that calls the
 //! policy path directly.
 
-use kop_core::{AccessFlags, KernelError, KernelResult, Size, VAddr};
+use kop_core::{AccessFlags, Bound, KernelError, KernelResult, Size, VAddr};
 use kop_ir::{BinOp, CastOp, IcmpPred};
 use kop_vm::{CompiledFunc, CompiledModule, Op, PromotedTier, Src};
 
@@ -148,12 +148,12 @@ impl<'k> Interp<'k> {
         }
     }
 
-    /// The promoted guard check: admit with three compares against the
-    /// baked bound when the snapshot generation still matches, else
-    /// deopt into the exact general policy path with the original
-    /// operands. The fast admit still counts as a guard and as a policy
-    /// check (batched: `vm_pending_fast_permits`, flushed at frame
-    /// boundaries), so every reconciliation invariant —
+    /// The promoted guard check: admit when [`Bound::admits`] vouches for
+    /// the access against the baked bound and the generation and epoch
+    /// tags still match, else deopt into the exact general policy path
+    /// with the original operands. The fast admit still counts as a
+    /// guard and as a policy check (batched: `vm_pending_fast_permits`,
+    /// flushed at frame boundaries), so every reconciliation invariant —
     /// `stats.guards == policy.checks` — survives promotion. A
     /// degenerate request (zero size, empty flags, wrapping range)
     /// always deopts; the general path owns the malformed-input
@@ -177,12 +177,9 @@ impl<'k> Interp<'k> {
                 .vm_policy
                 .as_deref()
                 .expect("promoted frame resolved its policy at entry");
-            size > 0
-                && flags != 0
-                && (flags & !perm) == 0
+            Bound { lo, hi, perm }.admits(VAddr(addr), Size(size), AccessFlags::from_raw(flags))
                 && gen == policy.store_generation()
                 && self.vm_promoted_epoch == policy.revocation_epoch()
-                && matches!(addr.checked_add(size), Some(end) if lo <= addr && end <= hi)
         };
         if fast {
             self.stats.guards += 1;

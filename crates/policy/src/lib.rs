@@ -26,9 +26,11 @@
 //! * the SMP guard path (DESIGN §3.13): [`snapshot::SnapshotStore`]
 //!   (RCU-style published tables, read through a per-thread pin
 //!   revalidated by the store generation — the one check path),
-//!   [`tlb::GuardTlb`] (a per-thread, per-site grant cache invalidated by
-//!   generation bump), and [`vlog::ViolationLog`] (bounded violation ring
-//!   with a dropped counter, formatting deferred to read time).
+//!   [`site::SiteCache`] (a per-thread front owning its policy, one cached
+//!   grant per guard site, invalidated by a tag compare at use and
+//!   admitted by the shared [`kop_core::Bound::admits`] test), and
+//!   [`vlog::ViolationLog`] (bounded violation ring with a dropped
+//!   counter, formatting deferred to read time).
 
 #![warn(missing_docs)]
 
@@ -36,34 +38,32 @@ pub mod bloom;
 pub mod cache;
 pub mod cuckoo;
 pub mod frozen;
-pub mod hot;
 pub mod interval;
 pub mod intrinsics;
 pub mod manager;
 pub mod module;
 pub mod namespace;
+pub mod site;
 pub mod snapshot;
 pub mod sorted;
 pub mod splay;
 pub mod stats;
 pub mod store;
 pub mod table;
-pub mod tlb;
 pub mod vlog;
 
 pub use frozen::{FrozenKind, FrozenStore};
-pub use hot::{HotPolicy, HotSite};
 pub use intrinsics::IntrinsicPolicy;
 pub use manager::{PolicyCmd, PolicyCmdError, PolicyResponse};
 pub use module::{
     ClassifiedCheck, DatapathGeometry, DefaultAction, GuardOutcome, PolicyModule, ViolationAction,
 };
 pub use namespace::{NamespaceStore, GLOBAL_NAMESPACE, NAMESPACE_SHARDS};
-pub use snapshot::{GenerationSubscriber, PolicySnapshot, SnapshotStore, SNAPSHOT_HISTORY_CAP};
+pub use site::{HotSite, SiteCache, SiteMap};
+pub use snapshot::{PolicySnapshot, SnapshotStore, SNAPSHOT_HISTORY_CAP};
 pub use stats::GuardStats;
 pub use store::{PolicyError, RegionStore, StoreKind};
 pub use table::{RegionTable, MAX_REGIONS};
-pub use tlb::{GuardTlb, SiteMap, TlbPolicy, TLB_WAYS};
 pub use vlog::ViolationLog;
 
 use kop_core::{AccessFlags, Size, VAddr, Violation};

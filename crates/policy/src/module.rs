@@ -147,13 +147,13 @@ impl GuardOutcome {
 
 /// A classified check: the result plus, when a region grant permitted it,
 /// the granting region and the generation it was observed under — what
-/// the guard TLB memoizes.
+/// a [`crate::site::SiteCache`] slot caches.
 pub struct ClassifiedCheck {
     /// The check result, identical to [`PolicyModule::check`]'s.
     pub result: Result<(), Violation>,
     /// `Some((region, generation))` only for region-grant permits;
     /// default-action allows and all denials yield `None` (they must not
-    /// be cached — see [`crate::tlb`]).
+    /// be cached — see [`crate::site`]).
     pub grant: Option<(Region, u64)>,
 }
 
@@ -345,8 +345,8 @@ impl PolicyModule {
     }
 
     /// Force a revocation epoch: republish the (unchanged) rule set so the
-    /// snapshot generation advances. Every guard TLB entry and inline
-    /// cache tagged with an older generation becomes stale in this single
+    /// snapshot generation advances. Every site-cache slot and promoted
+    /// inline guard tagged with an older generation becomes stale in this single
     /// publish — the live-upgrade swap uses this so no check can admit
     /// against a grant observed before the swap. Returns the new
     /// generation.
@@ -378,8 +378,8 @@ impl PolicyModule {
         self.revocation.load(Ordering::SeqCst)
     }
 
-    /// Advance the revocation epoch: every guard TLB entry, hot slot,
-    /// and promoted inline cache tagged with the old epoch goes stale in
+    /// Advance the revocation epoch: every site-cache slot and promoted
+    /// inline guard tagged with the old epoch goes stale in
     /// one atomic store, without republishing the (unchanged) rule set.
     /// Returns the new epoch. Fleet-wide revocation
     /// (`NamespaceStore::revoke_all`) fans out through here — the cold
@@ -404,8 +404,8 @@ impl PolicyModule {
         self.snapshot.load_full()
     }
 
-    /// The store generation: bumped by every table write. The guard
-    /// TLB's validity tag.
+    /// The store generation: bumped by every table write. The validity
+    /// tag of every cached grant.
     #[inline]
     pub fn store_generation(&self) -> u64 {
         self.snapshot.generation()
@@ -425,31 +425,13 @@ impl PolicyModule {
         self.snapshot.regions_at(generation)
     }
 
-    /// Register a callback fired after every snapshot publish with the
-    /// new generation. Callbacks run on the publishing thread while
-    /// publishes are still serialized, so they must **not** mutate this
-    /// policy module — flip flags and bump atomics only. The promoted
-    /// trace tier subscribes here to invalidate its inline caches
-    /// promptly (soundness never depends on the callback: every inline
-    /// admit re-checks its generation tag).
-    pub fn subscribe_generation(&self, sub: crate::snapshot::GenerationSubscriber) {
-        self.snapshot.subscribe(sub);
-    }
-
-    /// Account a guard admitted by a specialized fast path (inlined
-    /// bounds baked from a region grant of the *current* generation)
-    /// without re-running the lookup. Keeps `stats.checks` equal to the
-    /// number of guard invocations even when a hot tier answers most of
-    /// them, so per-site trace reconciliation stays exact.
-    #[inline]
-    pub fn record_fast_permit(&self) {
-        self.stats.record_permitted();
-    }
-
-    /// Batched form of [`Self::record_fast_permit`]: account `n` fast
-    /// admits with one pair of counter updates. Callers that defer their
-    /// accounting (per-thread hot tiers) flush through here before any
-    /// reader can observe the stats.
+    /// Account `n` guards admitted by a cached grant (a site-cache slot or
+    /// a promoted inline bound, baked from a region grant of the current
+    /// generation) with one pair of counter updates, without re-running
+    /// the lookup. Keeps `stats.checks` equal to the number of guard
+    /// calls whichever layer answered them. Callers that batch their
+    /// accounting flush through here before any reader can observe the
+    /// stats.
     #[inline]
     pub fn record_fast_permits(&self, n: u64) {
         if n > 0 {
@@ -652,7 +634,7 @@ impl PolicyModule {
         self.settle(addr, size, flags, lookup)
     }
 
-    /// The check the guard TLB uses: [`Self::check`], reporting which
+    /// The check a site-cache miss uses: [`Self::check`], reporting which
     /// region granted a permit (plus the generation it was observed
     /// under) so the caller may memoize it.
     pub fn check_classified(&self, addr: VAddr, size: Size, flags: AccessFlags) -> ClassifiedCheck {

@@ -13,11 +13,13 @@
 //! freed when the last pin on it is replaced.
 //!
 //! Every publish bumps a monotonic **generation**. The generation is the
-//! invalidation signal for the per-thread pins and for the per-site guard
-//! TLB ([`crate::tlb::GuardTlb`]): a pinned snapshot or a cached grant is
-//! valid only while its generation equals the store's current one, so
-//! any table write — grant, revoke, wholesale replace — retires every pin
-//! and flushes every TLB at the cost of one atomic store.
+//! invalidation signal for the per-thread pins and for every cached grant
+//! ([`crate::site::SiteCache`] slots, promoted inline guards): a pinned
+//! snapshot or a cached grant is valid only while its generation equals
+//! the store's current one, so any table write — grant, revoke, wholesale
+//! replace — retires every pin and every cached grant at the cost of one
+//! atomic store. Nothing is notified: each holder compares its tag at
+//! use.
 //!
 //! Memory-ordering argument (revoke → publish → reader-miss): the writer
 //! installs the new snapshot under the `current` mutex *before* it stores
@@ -27,7 +29,7 @@
 //! revoke's. It uses its pin only if the pinned snapshot's generation
 //! equals the loaded one — which the old snapshot's cannot — and
 //! otherwise clones `current` under the mutex, which already holds the
-//! new table. A TLB entry tagged with the old generation can never match
+//! new table. A cached grant tagged with the old generation can never match
 //! again either.
 
 use std::cell::Cell;
@@ -49,12 +51,6 @@ use crate::store::{Lookup, StoreKind};
 /// generations of history comfortably covers a promote → validate window
 /// while bounding memory on churn-heavy workloads.
 pub const SNAPSHOT_HISTORY_CAP: usize = 8;
-
-/// A callback invoked after every snapshot publish with the new
-/// generation. Used by the promoted-trace tier to invalidate eagerly
-/// (the generation tag check makes invalidation correct even without the
-/// callback; the callback just makes it prompt).
-pub type GenerationSubscriber = Box<dyn Fn(u64) + Send + Sync>;
 
 /// An immutable, self-contained copy of the policy at one generation.
 ///
@@ -158,17 +154,14 @@ pub struct SnapshotStore {
     /// Process-unique store id keying the per-thread pins.
     id: u64,
     current: Mutex<Arc<PolicySnapshot>>,
-    /// Stored *after* `current` is replaced on publish; the pin and TLB
-    /// validity tag. Starts at 1 so 0 can mean "no cached entry".
+    /// Stored *after* `current` is replaced on publish; the validity tag
+    /// of pins and cached grants. Starts at 1 so 0 can mean "no cached
+    /// entry".
     generation: AtomicU64,
     publishes: Counter,
     /// Bounded `(generation, regions)` history for the validator's grant
     /// oracle; never read on the guard path.
     history: Mutex<VecDeque<(u64, Vec<Region>)>>,
-    /// Publish subscribers. Fired while the writer still serializes
-    /// publishes, so callbacks must not mutate the policy (deadlock) —
-    /// they should only flip flags / bump atomics.
-    subscribers: Mutex<Vec<GenerationSubscriber>>,
 }
 
 impl SnapshotStore {
@@ -182,7 +175,6 @@ impl SnapshotStore {
             generation: AtomicU64::new(1),
             publishes: Counter::new("policy.snapshot_publishes"),
             history: Mutex::new(history),
-            subscribers: Mutex::new(Vec::new()),
         }
     }
 
@@ -233,13 +225,11 @@ impl SnapshotStore {
         let snap = Arc::new(PolicySnapshot::build(kind, regions, gen));
         // The replaced snapshot is dropped after the lock is released.
         let _old = std::mem::replace(&mut *self.current.lock(), snap);
-        // Snapshot first, generation second: a pin or TLB that sees the
-        // new generation is guaranteed the new snapshot is installed.
+        // Snapshot first, generation second: a pin or cached grant that
+        // sees the new generation is guaranteed the new snapshot is
+        // installed.
         self.generation.store(gen, Ordering::SeqCst);
         self.publishes.inc();
-        for sub in self.subscribers.lock().iter() {
-            sub(gen);
-        }
         gen
     }
 
@@ -253,11 +243,6 @@ impl SnapshotStore {
             .iter()
             .find(|(g, _)| *g == generation)
             .map(|(_, regions)| regions.clone())
-    }
-
-    /// Register a publish subscriber (see [`GenerationSubscriber`]).
-    pub fn subscribe(&self, sub: GenerationSubscriber) {
-        self.subscribers.lock().push(sub);
     }
 
     /// The live publish counter cell (for registry registration).
@@ -321,18 +306,6 @@ mod tests {
         }
         assert_eq!(s.regions_at(1), None, "evicted from bounded history");
         assert_eq!(s.regions_at(s.generation()), Some(vec![region]));
-    }
-
-    #[test]
-    fn subscribers_see_every_publish_in_order() {
-        use std::sync::Mutex as StdMutex;
-        let s = SnapshotStore::new(StoreKind::Table);
-        let seen = Arc::new(StdMutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        s.subscribe(Box::new(move |gen| sink.lock().unwrap().push(gen)));
-        s.publish(StoreKind::Table, Vec::new());
-        s.publish(StoreKind::Table, Vec::new());
-        assert_eq!(*seen.lock().unwrap(), vec![2, 3]);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::sync::{Arc, Barrier};
 use kop_core::error::ViolationKind;
 use kop_core::{AccessFlags, Protection, Region, Size, VAddr};
 use kop_policy::store::{make_store, Lookup};
-use kop_policy::{GuardTlb, PolicyModule, StoreKind};
+use kop_policy::{PolicyModule, SiteCache, SiteMap, StoreKind};
 
 use proptest::prelude::*;
 
@@ -33,9 +33,9 @@ fn region(base: u64, len: u64, prot: Protection) -> Region {
 /// number of stale admits it observed.
 fn storm<F>(churns: u64, readers: usize, reader: F) -> u64
 where
-    F: Fn(&PolicyModule, &AtomicU64, &AtomicBool) -> u64 + Sync,
+    F: Fn(&Arc<PolicyModule>, &AtomicU64, &AtomicBool) -> u64 + Sync,
 {
-    let pm = PolicyModule::new(); // default deny
+    let pm = Arc::new(PolicyModule::new()); // default deny
     let state = AtomicU64::new(1); // odd: nothing granted yet
     let stop = AtomicBool::new(false);
     let r = region(0x1000, 0x1000, Protection::READ_WRITE);
@@ -73,15 +73,15 @@ fn revoke_storm_never_admits_stale_access_on_snapshot_path() {
 }
 
 #[test]
-fn revoke_storm_never_admits_stale_access_through_tlb() {
+fn revoke_storm_never_admits_stale_access_through_site_cache() {
     let stale = storm(2_000, 4, |pm, state, stop| {
-        // Each reader owns its TLB — the per-thread structure under test.
-        let tlb = GuardTlb::with_prefix("torture.tlb");
+        // Each reader owns its cache — the per-thread structure under test.
+        let cache = SiteCache::new(Arc::clone(pm), SiteMap::new(0), "torture.site");
         let mut stale = 0u64;
         while !stop.load(Ordering::SeqCst) {
             let s1 = state.load(Ordering::SeqCst);
-            let allowed = tlb
-                .check(pm, 0, VAddr(0x1800), Size(8), AccessFlags::RW)
+            let allowed = cache
+                .check_at(0, VAddr(0x1800), Size(8), AccessFlags::RW)
                 .is_ok();
             let s2 = state.load(Ordering::SeqCst);
             if allowed && s1 == s2 && s1 % 2 == 1 {
@@ -90,7 +90,7 @@ fn revoke_storm_never_admits_stale_access_through_tlb() {
         }
         stale
     });
-    assert_eq!(stale, 0, "guard TLB admitted after revoke returned");
+    assert_eq!(stale, 0, "site cache admitted after revoke returned");
 }
 
 #[test]
@@ -368,36 +368,94 @@ proptest! {
     }
 
     #[test]
-    fn tlb_agrees_with_full_check(
+    fn site_cache_agrees_with_full_check(
         regions in proptest::collection::vec(arb_region(), 0..10),
-        probes in proptest::collection::vec(
-            (0u64..0x40_000, prop_oneof![Just(1u64), Just(2), Just(4), Just(8)], arb_flags(), 0u32..8),
-            1..40,
-        ),
+        steps in proptest::collection::vec(arb_step(), 1..60),
     ) {
-        let pm = PolicyModule::new();
-        for r in &regions {
-            let _ = pm.add_region(*r);
-        }
-        let tlb = GuardTlb::with_prefix("prop.tlb");
+        // Two identical policies: one behind the cache, one checked
+        // directly. Every publish and revocation is applied to both.
+        let pm = Arc::new(PolicyModule::new());
         let reference = PolicyModule::new();
         for r in &regions {
-            let _ = reference.add_region(*r);
+            prop_assert_eq!(pm.add_region(*r).is_ok(), reference.add_region(*r).is_ok());
         }
-        for &(addr, size, flags, site) in &probes {
-            let via_tlb = tlb
-                .check(&pm, site, VAddr(addr), Size(size), flags)
-                .map_err(|v| v.kind);
-            let direct = reference
-                .check(VAddr(addr), Size(size), flags)
-                .map_err(|v| v.kind);
-            // The TLB may satisfy a grant from cache, in which case the
-            // denial kind can't differ because there is no denial; on
-            // results both must agree exactly.
-            prop_assert_eq!(via_tlb, direct, "TLB diverged at {:#x}", addr);
+        let cache = SiteCache::new(Arc::clone(&pm), SiteMap::new(7), "prop.site");
+        let mut probes = 0u64;
+        for step in &steps {
+            match *step {
+                Step::Add(r) => {
+                    prop_assert_eq!(pm.add_region(r).is_ok(), reference.add_region(r).is_ok());
+                }
+                Step::Remove(pick) => {
+                    // Revoke one of the live rules, so cached grants
+                    // really go stale.
+                    let live = reference.regions();
+                    if let Some(r) = live.get(pick % live.len().max(1)) {
+                        pm.remove_region(r.base).unwrap();
+                        reference.remove_region(r.base).unwrap();
+                    }
+                }
+                Step::Revoke => {
+                    pm.bump_revocation();
+                    reference.bump_revocation();
+                }
+                Step::Probe(site, addr, size, flags) => {
+                    probes += 1;
+                    let cached = cache
+                        .check_at(site, VAddr(addr), Size(size), flags)
+                        .map_err(|v| v.kind);
+                    let direct = reference
+                        .check(VAddr(addr), Size(size), flags)
+                        .map_err(|v| v.kind);
+                    prop_assert_eq!(cached, direct, "cache diverged at {:#x}+{} {:?}", addr, size, flags);
+                    prop_assert_eq!(cache.hits() + cache.misses(), probes);
+                    // The accessors flushed: every guard is one check.
+                    prop_assert_eq!(pm.stats().checks, probes);
+                }
+            }
         }
-        prop_assert_eq!(tlb.hits() + tlb.misses(), probes.len() as u64);
     }
+}
+
+/// One step of the cache-vs-full-check property: a guarded probe at a
+/// site, or a publish / revocation applied to both policies.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Probe(u32, u64, u64, AccessFlags),
+    Add(Region),
+    /// Remove the live rule at this index (modulo the rule count).
+    Remove(usize),
+    Revoke,
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    // Each site probes its own two pages of the region grid, so repeat
+    // probes at a site often land in the slot's cached bound; one probe
+    // in four goes within 16 bytes of the top of the address space.
+    let site_addr = (0u32..8, 0u64..2, 0u64..0x1000, 0u32..4, 0u64..17).prop_map(
+        |(site, page, off, pick, top)| {
+            let addr = match pick {
+                0 => u64::MAX - top,
+                _ => 0x1000 * (4 * u64::from(site) + page) + off,
+            };
+            (site, addr)
+        },
+    );
+    let size = prop_oneof![Just(0u64), Just(1), Just(2), Just(4), Just(8)];
+    let flags = prop_oneof![arb_flags(), Just(AccessFlags::NONE)];
+    let top = prop_oneof![Just(0x10u64), Just(0x1000)]
+        .prop_map(|len| region(u64::MAX - len + 1, len, Protection::ALL));
+    let add = prop_oneof![arb_region(), top];
+    let remove = 0usize..16;
+    // 12 : 2 : 2 : 1 probes to adds, removes and revocations.
+    ((0u32..17, site_addr, size, flags), (add, remove)).prop_map(
+        |((pick, (site, addr), size, flags), (add, remove))| match pick {
+            0..=11 => Step::Probe(site, addr, size, flags),
+            12..=13 => Step::Add(add),
+            14..=15 => Step::Remove(remove),
+            _ => Step::Revoke,
+        },
+    )
 }
 
 #[test]

@@ -9,11 +9,11 @@
 //! of touched memory. The promoted run additionally proves it really
 //! ran promoted: every guard admits inline with zero deopts.
 //!
-//! The torture half drives the *native* hot tier (per-queue
-//! [`HotPolicy`] fronts over one shared policy) through a concurrent
+//! The torture half drives the *native* cached tier (per-queue
+//! [`SiteCache`] fronts over one shared policy) through a concurrent
 //! multi-queue TX run while the main thread storms `bump_epoch`, and
 //! drives the VM tier through a hand-installed stale-generation
-//! promotion — in both cases a stale baked bound must never admit.
+//! promotion — in both cases a stale cached bound must never admit.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -27,10 +27,12 @@ use carat_kop::e1000e::{
 use carat_kop::interp::{Engine, ExecStats, Interp};
 use carat_kop::ir::{verify_module, BinOp, GlobalInit, IcmpPred, IrBuilder, Type, Value};
 use carat_kop::kernel::{Kernel, KernelConfig};
-use carat_kop::policy::{DefaultAction, HotSite, PolicyModule, ViolationAction};
+use carat_kop::policy::{
+    DefaultAction, HotSite, PolicyCheck, PolicyModule, SiteCache, ViolationAction,
+};
 use carat_kop::trace::{CounterRegistry, Tracer, DEFAULT_CAPACITY};
 use carat_kop::vm::PromotionSpec;
-use kop_core::AccessFlags;
+use kop_core::{AccessFlags, Bound, Size, VAddr};
 
 /// One step of a random straight-line loop body over 4 registers, an
 /// 8-slot scratch buffer, and a module global (same program shape as
@@ -344,8 +346,8 @@ fn stale_generation_promotion_deopts_every_guard() {
     let buf = kernel.kmalloc(8 * 8).expect("buf");
 
     // Profile, then install the promotion by hand with a generation the
-    // snapshot store never published (simulating a promote/publish race
-    // the subscription-based invalidation lost).
+    // snapshot store never published (simulating a promote that raced a
+    // publish and baked a generation no longer current).
     kernel.tracer().set_enabled(true);
     {
         let mut interp = Interp::new(&mut kernel).expect("interp");
@@ -367,11 +369,12 @@ fn stale_generation_promotion_deopts_every_guard() {
         }) else {
             continue;
         };
+        let Bound { lo, hi, perm } = Bound::of(r);
         specs.push(PromotionSpec {
             site: meta.id,
-            lo: r.base.raw(),
-            hi: r.base.raw().saturating_add(r.len.raw()),
-            perm: r.prot.granted().raw(),
+            lo,
+            hi,
+            perm,
         });
     }
     assert!(!specs.is_empty(), "profiled sites cover the module");
@@ -442,8 +445,18 @@ fn profiled_tx_sites(pm: &Arc<PolicyModule>) -> Vec<HotSite> {
     sites
 }
 
+/// A guarded memory space fronted by a fresh site cache prefilled from
+/// the profiled envelopes, with counters under `prefix`.
+fn prefilled_mem(pm: &Arc<PolicyModule>, sites: &[HotSite], prefix: &str) -> GuardedMem<SiteCache> {
+    let inner = DirectMem::with_defaults(E1000Device::default());
+    let map = driver_site_map(inner.arena_base(), inner.mmio_base());
+    let cache = SiteCache::new(Arc::clone(pm), map, prefix);
+    assert!(cache.prefill(sites) > 0, "envelopes prefilled");
+    GuardedMem::new(inner, cache)
+}
+
 /// Generation-bump torture on the native datapath: several TX queues,
-/// each fronted by its own per-thread [`HotPolicy`] over one shared
+/// each fronted by its own per-thread [`SiteCache`] over one shared
 /// policy module, while the main thread storms `bump_epoch`. Soundness
 /// and accounting must both hold: no frame is lost, no guard escapes
 /// accounting (`policy.checks` reconciles exactly with the drivers'
@@ -459,16 +472,10 @@ fn mq_tx_generation_bump_torture() {
     const QUEUES: usize = 3;
     const FRAMES: u64 = 300;
 
-    // ---- Phase A: quiescent policy — the hot tier answers inline. ----
+    // ---- Phase A: quiescent policy — the cache answers inline. ----
     let checks0 = pm.stats().checks;
     let rep = run_mq_tx_with(QUEUES, FRAMES, 256, |q| {
-        let hm = GuardedMem::with_hot_prefixed(
-            DirectMem::with_defaults(E1000Device::default()),
-            Arc::clone(&pm),
-            hot_sites.clone(),
-            &format!("mqa.q{q}"),
-        );
-        assert!(hm.policy().promoted_count() > 0);
+        let hm = prefilled_mem(&pm, &hot_sites, &format!("mqa.q{q}"));
         hm.policy().register_into(&reg);
         hm
     })
@@ -482,10 +489,10 @@ fn mq_tx_generation_bump_torture() {
     assert_eq!(pm.stats().checks - checks0, guard_calls);
     let (mut admits_a, mut deopts_a) = (0, 0);
     for q in 0..QUEUES {
-        admits_a += reg.get(&format!("mqa.q{q}.inline_admits")).unwrap().get();
+        admits_a += reg.get(&format!("mqa.q{q}.hits")).unwrap().get();
         deopts_a += reg.get(&format!("mqa.q{q}.deopts")).unwrap().get();
     }
-    assert!(admits_a > 0, "the hot tier answered TX guards inline");
+    assert!(admits_a > 0, "the site cache answered TX guards inline");
     assert_eq!(deopts_a, 0, "no deopts without a policy publish");
 
     // ---- Phase B: the same run under a bump_epoch storm. ----
@@ -505,12 +512,7 @@ fn mq_tx_generation_bump_torture() {
     };
     let checks1 = pm.stats().checks;
     let rep = run_mq_tx_with(QUEUES, FRAMES, 256, |q| {
-        let hm = GuardedMem::with_hot_prefixed(
-            DirectMem::with_defaults(E1000Device::default()),
-            Arc::clone(&pm),
-            hot_sites.clone(),
-            &format!("mqb.q{q}"),
-        );
+        let hm = prefilled_mem(&pm, &hot_sites, &format!("mqb.q{q}"));
         hm.policy().register_into(&reg);
         hm
     })
@@ -530,7 +532,7 @@ fn mq_tx_generation_bump_torture() {
     assert_eq!(pm.stats().checks - checks1, guard_calls);
     let (mut admits_b, mut deopts_b) = (0, 0);
     for q in 0..QUEUES {
-        admits_b += reg.get(&format!("mqb.q{q}.inline_admits")).unwrap().get();
+        admits_b += reg.get(&format!("mqb.q{q}.hits")).unwrap().get();
         deopts_b += reg.get(&format!("mqb.q{q}.deopts")).unwrap().get();
     }
     assert!(
@@ -540,37 +542,40 @@ fn mq_tx_generation_bump_torture() {
     assert!(admits_b + deopts_b <= guard_calls);
 
     // ---- Phase C: zero stale admits, pinned deterministically. ----
-    let hm = GuardedMem::with_hot_prefixed(
-        DirectMem::with_defaults(E1000Device::default()),
-        Arc::clone(&pm),
-        hot_sites.clone(),
-        "mqc",
-    );
-    let mut drv = E1000Driver::probe(hm).expect("probe");
+    let mut drv = E1000Driver::probe(prefilled_mem(&pm, &hot_sites, "mqc")).expect("probe");
     drv.up().expect("up");
     let mut sink = VecSink::default();
     for _ in 0..8 {
         drv.xmit_and_flush([0xff; 6], 0x88b5, &[0u8; 64], &mut sink)
             .expect("warm xmit");
     }
-    let admits_before = drv.mem_ref().policy().admits();
-    assert!(admits_before > 0);
+    let cache = drv.mem_ref().policy();
+    assert!(cache.hits() > 0);
+    // One probe per site, at the low end of its envelope: every slot's
+    // bound admits it while the tags are current...
+    let probes: std::collections::BTreeMap<u32, u64> =
+        hot_sites.iter().map(|s| (s.site, s.lo)).collect();
+    let probe_all = || {
+        for &lo in probes.values() {
+            cache
+                .carat_guard(VAddr(lo), Size(1), AccessFlags::READ)
+                .expect("granted");
+        }
+    };
+    let hits_before = cache.hits();
+    probe_all();
+    assert_eq!(cache.hits() - hits_before, probes.len() as u64);
 
+    // ...and not one of them admits after the publish: each stale slot
+    // deopts to the general path, which refills it at the new
+    // generation.
     pm.bump_epoch();
-    for _ in 0..8 {
-        drv.xmit_and_flush([0xff; 6], 0x88b5, &[0u8; 64], &mut sink)
-            .expect("post-bump xmit");
-    }
-    // Not one admit after the publish: every check at a promoted site
-    // deopted to the general path instead.
-    assert_eq!(drv.mem_ref().policy().admits(), admits_before);
-    assert!(drv.mem_ref().policy().deopts() > 0);
+    let (hits_before, deopts_before) = (cache.hits(), cache.deopts());
+    probe_all();
+    assert_eq!(cache.hits(), hits_before, "a stale slot admitted");
+    assert_eq!(cache.deopts() - deopts_before, probes.len() as u64);
 
-    // Lazy re-promotion restores the fast path against the new snapshot.
-    assert!(drv.mem_ref().policy().repromote() > 0);
-    for _ in 0..8 {
-        drv.xmit_and_flush([0xff; 6], 0x88b5, &[0u8; 64], &mut sink)
-            .expect("re-promoted xmit");
-    }
-    assert!(drv.mem_ref().policy().admits() > admits_before);
+    // The refilled slots restore the fast path against the new snapshot.
+    probe_all();
+    assert_eq!(cache.hits() - hits_before, probes.len() as u64);
 }
